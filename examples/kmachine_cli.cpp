@@ -465,16 +465,18 @@ int run_stream(const Options& opt) {
 
   if (opt.algo == "conn") {
     const auto res = connected_components(cluster, dg, acfg);
-    std::printf("components=%llu phases=%zu converged=%s\n",
+    std::printf("components=%llu phases=%zu converged=%s sampler_retries=%llu\n",
                 static_cast<unsigned long long>(res.num_components), res.phases.size(),
-                res.converged ? "yes" : "no");
+                res.converged ? "yes" : "no",
+                static_cast<unsigned long long>(res.sampler_retries));
     print_stats("conn", res.stats);
   } else if (opt.algo == "mst") {
     const auto res = minimum_spanning_forest(cluster, dg, acfg);
     Weight total = 0;
     for (const auto& e : res.mst_edges()) total += e.w;
-    std::printf("mst_edges=%zu total_weight=%llu phases=%zu\n", res.mst_edges().size(),
-                static_cast<unsigned long long>(total), res.phases.size());
+    std::printf("mst_edges=%zu total_weight=%llu phases=%zu sampler_retries=%llu\n",
+                res.mst_edges().size(), static_cast<unsigned long long>(total),
+                res.phases.size(), static_cast<unsigned long long>(res.sampler_retries));
     print_stats("mst", res.stats);
   } else if (opt.algo == "flood") {
     if (!opt.durable_dir.empty()) {
@@ -763,9 +765,11 @@ int main(int argc, char** argv) {
 
   if (opt.algo == "conn") {
     const auto res = connected_components(cluster, dg, acfg);
-    std::printf("components=%llu phases=%zu forest_edges=%zu converged=%s\n",
+    std::printf("components=%llu phases=%zu forest_edges=%zu converged=%s "
+                "sampler_retries=%llu\n",
                 static_cast<unsigned long long>(res.num_components), res.phases.size(),
-                res.forest_edges().size(), res.converged ? "yes" : "no");
+                res.forest_edges().size(), res.converged ? "yes" : "no",
+                static_cast<unsigned long long>(res.sampler_retries));
     print_stats("conn", res.stats);
     print_fault_stats(fault_plane ? &*fault_plane : nullptr);
     if (opt.verify) {
@@ -781,8 +785,9 @@ int main(int argc, char** argv) {
     const auto res = minimum_spanning_forest(cluster, wdg, acfg);
     Weight total = 0;
     for (const auto& e : res.mst_edges()) total += e.w;
-    std::printf("mst_edges=%zu total_weight=%llu phases=%zu\n", res.mst_edges().size(),
-                static_cast<unsigned long long>(total), res.phases.size());
+    std::printf("mst_edges=%zu total_weight=%llu phases=%zu sampler_retries=%llu\n",
+                res.mst_edges().size(), static_cast<unsigned long long>(total),
+                res.phases.size(), static_cast<unsigned long long>(res.sampler_retries));
     print_stats("mst", res.stats);
     print_fault_stats(fault_plane ? &*fault_plane : nullptr);
     if (opt.verify) {

@@ -217,8 +217,11 @@ std::uint32_t BoruvkaEngine::run_elimination_loop(std::uint32_t phase) {
         L0Sampler& sketch =
             pool.acquire(builder.universe(), builder.params(), builder.seed());
         builder.accumulate_part(*dg_, *part, thr, sketch, power_scratch_[i]);
+        // Wire forms vary in length with the sketch's live depth; reserving
+        // the longest keeps the reused writer from growing in steady state.
         auto& w = writer_[i];
         w.clear();
+        w.reserve(1 + sketch.max_serialized_words());
         w.u64(label);
         sketch.serialize(w);
         out.send(prox.proxy_of(label), kTagSketch, w.words(),
@@ -234,8 +237,9 @@ std::uint32_t BoruvkaEngine::run_elimination_loop(std::uint32_t phase) {
     // Proxy side: apply handoffs first so records exist before this
     // iteration's sketches are merged, then sum per-label sketches and run
     // the state transitions on the combined result. Incoming sketches are
-    // merged wire-level: serialized cells add straight off the payload into
-    // a pooled accumulator (add_serialized) — no per-message deserialize.
+    // merged wire-level: each copy's live cells add straight off the payload
+    // into a pooled accumulator (add_serialized) — no per-message
+    // deserialize.
     runtime_.step([&](MachineId i, std::span<const Message> inbox, Outbox& out) {
       for (const auto& msg : inbox) {
         if (msg.tag == kTagHandoff) {

@@ -48,8 +48,12 @@
 //    (tests/test_alloc_steady_state.cpp and bench_boruvka_hotpath measure
 //    this);
 //  * incoming sketches are merged wire-level — L0Sampler::add_serialized
-//    adds 3-word cells straight off the message payload into a pooled
-//    accumulator; no per-message sketch is ever materialized.
+//    adds each copy's live prefix of 3-word cells (the prefix-truncated
+//    wire form) straight off the message payload into a pooled
+//    accumulator; no per-message sketch is ever materialized. Payloads
+//    vary in length, so the per-machine writer reserves the longest form
+//    (L0Sampler::max_serialized_words) and never grows in steady state.
+//    The ledger charges L0Sampler::wire_bits(), the dense logical size.
 //
 // Modes:
 //  * kConnectivity — samples any outgoing edge; merge edges form a spanning

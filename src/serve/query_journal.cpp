@@ -161,17 +161,27 @@ void QueryJournal::append_line(const std::string& body) {
 }
 
 void QueryJournal::record_submitted(std::uint64_t id, const QueryRequest& request) {
-  std::string body = "S " + std::to_string(id) + " " +
-                     std::to_string(static_cast<unsigned>(request.kind)) + " " +
-                     std::to_string(request.seed) + " " +
-                     std::to_string(request.budget.deadline_ms) + " " +
-                     std::to_string(request.budget.max_supersteps) + " " +
-                     std::to_string(request.budget.max_ledger_bits) + " " +
-                     std::to_string(request.s) + " " + std::to_string(request.t) + " " +
-                     std::to_string(request.x) + " " + std::to_string(request.y) + " " +
-                     std::to_string(request.edges.size());
+  // Appended field by field: GCC 12 flags `"literal" + std::string&&`
+  // chains with a false -Wrestrict.
+  std::string body = "S";
+  const auto field = [&body](std::uint64_t value) {
+    body += ' ';
+    body += std::to_string(value);
+  };
+  field(id);
+  field(static_cast<unsigned>(request.kind));
+  field(request.seed);
+  field(request.budget.deadline_ms);
+  field(request.budget.max_supersteps);
+  field(request.budget.max_ledger_bits);
+  field(request.s);
+  field(request.t);
+  field(request.x);
+  field(request.y);
+  field(request.edges.size());
   for (const auto& [u, v] : request.edges) {
-    body += " " + std::to_string(u) + " " + std::to_string(v);
+    field(u);
+    field(v);
   }
   append_line(body);
 }

@@ -11,26 +11,38 @@ GraphSketchBuilder::GraphSketchBuilder(std::size_t n, std::uint64_t seed, int co
       params_(L0Params::for_universe(static_cast<std::uint64_t>(n) * n, copies)),
       seed_(seed) {
   KMM_CHECK(n >= 2);
-  pow_low_.resize(static_cast<std::size_t>(params_.copies));
-  pow_high_.resize(static_cast<std::size_t>(params_.copies));
-  for (int c = 0; c < params_.copies; ++c) {
-    pow_low_[static_cast<std::size_t>(c)].resize(n);
-    pow_high_[static_cast<std::size_t>(c)].resize(n);
-  }
+  const auto per_vertex = static_cast<std::size_t>(params_.copies);
+  level_seeds_.resize(per_vertex);
+  pow_low_.resize(n * per_vertex);
+  pow_high_.resize(n * per_vertex);
   rebind(seed);
 }
 
 void GraphSketchBuilder::rebind(std::uint64_t seed) {
   seed_ = seed;
-  for (int c = 0; c < params_.copies; ++c) {
-    const std::uint64_t r = L0Sampler::fingerprint_base_for(seed_, c);
-    auto& low = pow_low_[static_cast<std::size_t>(c)];
-    auto& high = pow_high_[static_cast<std::size_t>(c)];
-    low[0] = 1;
-    for (std::size_t y = 1; y < n_; ++y) low[y] = fp::mul(low[y - 1], r);
-    const std::uint64_t r_n = fp::mul(low[n_ - 1], r);  // r^n
-    high[0] = 1;
-    for (std::size_t x = 1; x < n_; ++x) high[x] = fp::mul(high[x - 1], r_n);
+  // Vertex-major, so the copies' independent power chains interleave. Row 1
+  // of each table holds the copies' bases r and r^n.
+  const auto copies = static_cast<std::size_t>(params_.copies);
+  const std::uint64_t* r = &pow_low_[copies];
+  const std::uint64_t* r_n = &pow_high_[copies];
+  for (std::size_t c = 0; c < copies; ++c) {
+    level_seeds_[c] = L0Sampler::level_seed_for(seed_, static_cast<int>(c));
+    pow_low_[c] = 1;
+    pow_high_[c] = 1;
+    pow_low_[copies + c] = L0Sampler::fingerprint_base_for(seed_, static_cast<int>(c));
+  }
+  for (std::size_t y = 2; y < n_; ++y) {
+    for (std::size_t c = 0; c < copies; ++c) {
+      pow_low_[y * copies + c] = fp::mul(pow_low_[(y - 1) * copies + c], r[c]);
+    }
+  }
+  for (std::size_t c = 0; c < copies; ++c) {
+    pow_high_[copies + c] = fp::mul(pow_low_[(n_ - 1) * copies + c], r[c]);
+  }
+  for (std::size_t x = 2; x < n_; ++x) {
+    for (std::size_t c = 0; c < copies; ++c) {
+      pow_high_[x * copies + c] = fp::mul(pow_high_[(x - 1) * copies + c], r_n[c]);
+    }
   }
 }
 
@@ -40,17 +52,17 @@ L0Sampler GraphSketchBuilder::empty_sketch() const {
 
 void GraphSketchBuilder::accumulate(const DistributedGraph& dg, Vertex u, Weight max_weight,
                                     L0Sampler& sink, std::uint64_t* powers) const {
+  const std::size_t copies = static_cast<std::size_t>(params_.copies);
   for (const auto& he : dg.neighbors(u)) {
     if (he.weight > max_weight) continue;
     const Vertex x = u < he.to ? u : he.to;
     const Vertex y = u < he.to ? he.to : u;
     const std::uint64_t index = static_cast<std::uint64_t>(x) * n_ + y;
     const int value = u == x ? 1 : -1;
-    for (int c = 0; c < params_.copies; ++c) {
-      powers[c] = fp::mul(pow_high_[static_cast<std::size_t>(c)][x],
-                          pow_low_[static_cast<std::size_t>(c)][y]);
-    }
-    sink.update(index, value, powers);
+    const std::uint64_t* high = &pow_high_[static_cast<std::size_t>(x) * copies];
+    const std::uint64_t* low = &pow_low_[static_cast<std::size_t>(y) * copies];
+    for (std::size_t c = 0; c < copies; ++c) powers[c] = fp::mul(high[c], low[c]);
+    sink.update(index, value, powers, level_seeds_.data());
   }
 }
 

@@ -8,9 +8,11 @@
 // the outgoing edges of S — the property the connectivity algorithm rides.
 //
 // GraphSketchBuilder fixes the shared per-phase randomness (seed) and
-// precomputes, per sampler copy, fingerprint power tables
+// precomputes, per sampler copy, the level-hash seed and fingerprint power
+// tables
 //   r^(x*n + y) = (r^n)^x * r^y
-// so that building a sketch costs O(1) field mults per incident edge.
+// so that building a sketch costs O(1) field mults and one hash per copy
+// per incident edge.
 //
 // The weight threshold (`max_weight`) implements the MST elimination step
 // of Section 3.1: entries for edges heavier than the threshold are zeroed
@@ -35,8 +37,9 @@ class GraphSketchBuilder {
   /// trades failure probability against sketch size.
   GraphSketchBuilder(std::size_t n, std::uint64_t seed, int copies = 3);
 
-  /// Rebind to a new per-iteration seed: recomputes the fingerprint power
-  /// tables in place (O(n * copies) field mults, zero allocations), so a
+  /// Rebind to a new per-iteration seed: recomputes the per-copy level
+  /// seeds and the fingerprint power tables in place (O(n * copies) field
+  /// mults, zero allocations), so a
   /// long-lived builder costs no heap traffic per iteration. n and copies
   /// are fixed at construction.
   void rebind(std::uint64_t seed);
@@ -83,9 +86,14 @@ class GraphSketchBuilder {
   std::uint64_t universe_;
   L0Params params_;
   std::uint64_t seed_;
-  // Per copy: r^y for y in [0, n) and (r^n)^x for x in [0, n).
-  std::vector<std::vector<std::uint64_t>> pow_low_;
-  std::vector<std::vector<std::uint64_t>> pow_high_;
+  // Per copy: L0Sampler::level_seed_for(seed_, c), hoisted out of the
+  // per-update level hash.
+  std::vector<std::uint64_t> level_seeds_;
+  // Vertex-major power tables: pow_low_[v * copies + c] = r_c^v and
+  // pow_high_[v * copies + c] = (r_c^n)^v, so one cache line serves every
+  // copy of a neighbor's powers.
+  std::vector<std::uint64_t> pow_low_;
+  std::vector<std::uint64_t> pow_high_;
 };
 
 }  // namespace kmm

@@ -16,7 +16,21 @@
 // All randomness comes from `seed` — machines sharing a seed build
 // combinable sketches, which is how the k-machine algorithm ships per-part
 // sketches to proxies and sums them there.
+//
+// Live depth: levels nest (level l subsamples level l-1), so in every copy
+// the nonzero cells form a prefix of the levels. Each copy tracks a live
+// depth, an upper bound on that prefix: every level at or above it is
+// all-zero. reset(), add(), sample() and the wire form touch only the live
+// prefix — a singleton part with a few incident edges has a dozen live
+// cells out of copies * levels.
+//
+// Wire form: per copy, one depth word d followed by 3*d cell words
+// (s0, s1, s2) for levels 0..d-1, with trailing all-zero cells trimmed so
+// equal sketches serialize to equal words (a zero sketch is `copies` words
+// of 0). The ledger charges the dense logical size, wire_bits(), whatever
+// the physical length.
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -39,30 +53,37 @@ struct L0Params {
 
 class L0Sampler {
  public:
+  /// Upper bound on params.copies: the per-copy live depths live in a fixed
+  /// inline array, so a sampler owns exactly one heap block (its cells).
+  static constexpr int kMaxCopies = 16;
+
   L0Sampler(std::uint64_t universe, L0Params params, std::uint64_t seed);
 
   /// Add `value` (±1) at `index`. O(1) expected cell updates per copy.
-  /// `r_pow_index` per copy must equal r_c^index; callers with many updates
-  /// use precomputed power tables (GraphSketchBuilder), casual callers use
-  /// the convenience overload below.
-  void update(std::uint64_t index, int value, const std::uint64_t* r_pow_index_per_copy);
+  /// Per copy c, `r_pow_index_per_copy[c]` must equal r_c^index and
+  /// `level_seed_per_copy[c]` must equal level_seed(c); callers with many
+  /// updates precompute both (GraphSketchBuilder), casual callers use the
+  /// convenience overload below.
+  void update(std::uint64_t index, int value, const std::uint64_t* r_pow_index_per_copy,
+              const std::uint64_t* level_seed_per_copy);
 
-  /// Convenience overload computing the fingerprint powers directly
-  /// (O(log U) field mults per copy).
+  /// Convenience overload computing the fingerprint powers (O(log U) field
+  /// mults per copy) and level seeds directly.
   void update(std::uint64_t index, int value);
 
   /// Linear combination; other must share (universe, params, seed).
   void add(const L0Sampler& other);
 
-  /// Linear combination with a sketch in wire form: adds the serialized
-  /// cells straight off `reader` (3 words per cell, one bounds check),
-  /// without materializing the sending sketch. Exactly equivalent to
-  /// deserialize() + add(), minus the heap-allocated intermediate — the
-  /// proxy-side merge path of the Borůvka engine.
+  /// Linear combination with a sketch in wire form: adds each copy's live
+  /// cells straight off `reader` (a depth word, then 3 words per cell, one
+  /// bounds check per copy), without materializing the sending sketch.
+  /// Exactly equivalent to deserialize() + add(), minus the heap-allocated
+  /// intermediate — the proxy-side merge path of the Borůvka engine.
+  /// Rejects (KMM_CHECK) a depth word greater than `levels`.
   void add_serialized(WordReader& reader);
 
-  /// Re-zero all cells and rebind to `seed`, retaining cell storage — the
-  /// SketchPool recycling hook (universe/params stay fixed).
+  /// Re-zero the live cells and rebind to `seed`, retaining cell storage —
+  /// the SketchPool recycling hook (universe/params stay fixed).
   void reset(std::uint64_t seed) noexcept;
 
   /// Recover some nonzero index, or nullopt if the vector appears empty /
@@ -83,6 +104,8 @@ class L0Sampler {
   [[nodiscard]] static std::uint64_t fingerprint_base_for(std::uint64_t seed, int copy);
   /// Level-hash seed of copy c.
   [[nodiscard]] std::uint64_t level_seed(int copy) const;
+  /// Same derivation without an instance (see fingerprint_base_for).
+  [[nodiscard]] static std::uint64_t level_seed_for(std::uint64_t seed, int copy);
   /// Level (0..levels-1) that index participates up to, in copy c.
   [[nodiscard]] int level_of(std::uint64_t index, int copy) const;
 
@@ -90,13 +113,21 @@ class L0Sampler {
   [[nodiscard]] const L0Params& params() const noexcept { return params_; }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
-  /// Logical wire size of the serialized sketch.
+  /// Logical wire size the ledger charges: every cell at its dense width,
+  /// independent of the physical (prefix-truncated) word count.
   [[nodiscard]] std::uint64_t wire_bits() const;
 
-  /// Serialize all cells (3 words each) into a writer.
+  /// Physical words of the longest wire form (every level live): writers
+  /// that must not grow in steady state reserve this much per sketch.
+  [[nodiscard]] std::size_t max_serialized_words() const noexcept {
+    return static_cast<std::size_t>(params_.copies) + cells_.size() * 3;
+  }
+
+  /// Append the wire form (see the file comment) to a writer.
   void serialize(WordWriter& out) const;
 
   /// Rebuild a sketch from `reader` given matching construction parameters.
+  /// Rejects (KMM_CHECK) a depth word greater than `levels`.
   static L0Sampler deserialize(std::uint64_t universe, L0Params params, std::uint64_t seed,
                                WordReader& reader);
 
@@ -110,10 +141,16 @@ class L0Sampler {
                   static_cast<std::size_t>(level)];
   }
 
+  /// Copy c's live depth with trailing all-zero cells dropped: the depth
+  /// word of its wire form.
+  [[nodiscard]] int trimmed_depth(int copy) const;
+
   std::uint64_t universe_;
   L0Params params_;
   std::uint64_t seed_;
   std::vector<OneSparseCell> cells_;
+  // Live depth per copy: levels >= depth_[c] of copy c are all-zero.
+  std::array<std::uint8_t, kMaxCopies> depth_{};
 };
 
 }  // namespace kmm

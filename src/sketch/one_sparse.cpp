@@ -5,19 +5,6 @@
 
 namespace kmm {
 
-void OneSparseCell::update(std::uint64_t index, int value, std::uint64_t r_pow_index) noexcept {
-  // value is ±1 by construction of incidence vectors.
-  if (value > 0) {
-    ++s0_;
-    s1_ = fp::add(s1_, fp::reduce(index));
-    s2_ = fp::add(s2_, r_pow_index);
-  } else {
-    --s0_;
-    s1_ = fp::sub(s1_, fp::reduce(index));
-    s2_ = fp::sub(s2_, r_pow_index);
-  }
-}
-
 void OneSparseCell::add(const OneSparseCell& other) noexcept {
   s0_ += other.s0_;
   s1_ = fp::add(s1_, other.s1_);

@@ -29,7 +29,24 @@ class OneSparseCell {
  public:
   /// Add `value` (±1) at `index`; `r_pow_index` must equal r^index mod p
   /// (callers precompute it — see GraphSketchBuilder's power tables).
-  void update(std::uint64_t index, int value, std::uint64_t r_pow_index) noexcept;
+  void update(std::uint64_t index, int value, std::uint64_t r_pow_index) noexcept {
+    update_reduced(fp::reduce(index), value, r_pow_index);
+  }
+
+  /// update() with the index already reduced mod p: L0Sampler reduces once
+  /// per update and applies the result to every level it touches.
+  void update_reduced(std::uint64_t index_mod_p, int value, std::uint64_t r_pow_index) noexcept {
+    // value is ±1 by construction of incidence vectors.
+    if (value > 0) {
+      ++s0_;
+      s1_ = fp::add(s1_, index_mod_p);
+      s2_ = fp::add(s2_, r_pow_index);
+    } else {
+      --s0_;
+      s1_ = fp::sub(s1_, index_mod_p);
+      s2_ = fp::sub(s2_, r_pow_index);
+    }
+  }
 
   /// Linear combination with another cell over the same (U, r).
   void add(const OneSparseCell& other) noexcept;
@@ -72,8 +89,9 @@ class OneSparseCell {
 };
 
 // The sketch plane relies on cells being exactly their 3-word wire image:
-// L0Sampler::add_serialized walks message payloads three words at a time and
-// arrays of cells add with contiguous, autovectorizable loops.
+// L0Sampler::add_serialized walks each copy's live levels in a message
+// payload three words at a time, and arrays of cells add with contiguous,
+// autovectorizable loops.
 static_assert(sizeof(OneSparseCell) == 3 * sizeof(std::uint64_t) &&
                   std::is_trivially_copyable_v<OneSparseCell>,
               "OneSparseCell must stay a contiguous 3-word POD");

@@ -1,7 +1,5 @@
 #include "util/hashing.hpp"
 
-#include <bit>
-
 #include "util/assert.hpp"
 
 namespace kmm {
@@ -20,12 +18,6 @@ std::uint64_t PolynomialHash::operator()(std::uint64_t x) const noexcept {
     acc = fp::add(fp::mul(acc, xr), *it);
   }
   return acc;
-}
-
-int geometric_level(std::uint64_t hashed, int max_level) noexcept {
-  if (hashed == 0) return max_level;
-  const int tz = std::countr_zero(hashed);
-  return tz < max_level ? tz : max_level;
 }
 
 }  // namespace kmm

@@ -14,6 +14,7 @@
 //    function at simulation scales; the *communication* cost of sharing the
 //    seed is still charged via cluster::SharedRandomness (see DESIGN.md §1).
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -67,6 +68,10 @@ class PrfHash {
 
 /// Number of trailing zeros of h, clamped to `max_level`; geometric level
 /// assignment for the l0-sampler (P[level >= l] = 2^-l).
-[[nodiscard]] int geometric_level(std::uint64_t hashed, int max_level) noexcept;
+[[nodiscard]] inline int geometric_level(std::uint64_t hashed, int max_level) noexcept {
+  if (hashed == 0) return max_level;
+  const int tz = std::countr_zero(hashed);
+  return tz < max_level ? tz : max_level;
+}
 
 }  // namespace kmm

@@ -4,14 +4,6 @@
 
 namespace kmm::fp {
 
-std::uint64_t mul(std::uint64_t a, std::uint64_t b) noexcept {
-  const __uint128_t prod = static_cast<__uint128_t>(a) * b;
-  // Split at 61 bits: prod = hi * 2^61 + lo, and 2^61 ≡ 1 (mod p).
-  const auto lo = static_cast<std::uint64_t>(prod & kMersenne61);
-  const auto hi = static_cast<std::uint64_t>(prod >> 61);
-  return reduce(lo + hi);
-}
-
 std::uint64_t pow(std::uint64_t a, std::uint64_t e) noexcept {
   std::uint64_t base = reduce(a);
   std::uint64_t acc = 1;

@@ -32,7 +32,15 @@ namespace fp {
   return a - b + (kMersenne61 & -static_cast<std::uint64_t>(a < b));
 }
 
-[[nodiscard]] std::uint64_t mul(std::uint64_t a, std::uint64_t b) noexcept;
+/// a * b mod p. Inline: the sketch build multiplies fingerprint powers once
+/// per half-edge and copy, far too often for an out-of-line call.
+[[nodiscard]] inline std::uint64_t mul(std::uint64_t a, std::uint64_t b) noexcept {
+  const __uint128_t prod = static_cast<__uint128_t>(a) * b;
+  // Split at 61 bits: prod = hi * 2^61 + lo, and 2^61 ≡ 1 (mod p).
+  const auto lo = static_cast<std::uint64_t>(prod & kMersenne61);
+  const auto hi = static_cast<std::uint64_t>(prod >> 61);
+  return reduce(lo + hi);
+}
 
 /// a^e mod p by square-and-multiply.
 [[nodiscard]] std::uint64_t pow(std::uint64_t a, std::uint64_t e) noexcept;

@@ -14,7 +14,13 @@
 namespace kmm {
 
 /// One SplitMix64 mixing step; maps any 64-bit value to a well-mixed one.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t x) noexcept;
+/// Inline: the sketch build hashes every half-edge once per sampler copy.
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// PRF-style combiner: a deterministic hash of (seed, key).
 [[nodiscard]] inline std::uint64_t split(std::uint64_t seed, std::uint64_t key) noexcept {

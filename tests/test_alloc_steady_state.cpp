@@ -56,7 +56,8 @@ void run_iteration(GraphSketchBuilder& builder, const DistributedGraph& dg,
 
   // Home side: sketch each part into a pooled accumulator, serialize into
   // the reused writer, "send" by copying into the wire buffers (stand-in
-  // for the already allocation-free message plane; buffers are pre-sized).
+  // for the already allocation-free message plane; the writer and buffers
+  // are pre-sized to the longest wire form, as the engine's writers are).
   for (std::size_t label = 0; label < kLabels; ++label) {
     for (std::size_t p = 0; p < kParts; ++p) {
       home_pool.release_all();
@@ -110,9 +111,14 @@ int main() {
 
   GraphSketchBuilder builder(kN, /*seed=*/1);
   SketchPool home_pool, proxy_pool;
+  // Sketch payloads vary in length with the live depth: one label word plus
+  // at most copies depth words and 3 words per cell.
+  const std::size_t max_payload = 1 + builder.empty_sketch().max_serialized_words();
   WordWriter writer;
+  writer.reserve(max_payload);
   std::vector<std::uint64_t> power_scratch;
   std::vector<std::vector<std::uint64_t>> wire(kLabels * kParts);
+  for (auto& slot : wire) slot.reserve(max_payload);
   LabelRegistry<std::uint32_t> sums;
   sums.reset_universe(kLabels);
   std::uint64_t sink = 0;

@@ -76,7 +76,7 @@ StressOutcome run_skewed_stress(const Graph& g, unsigned threads, bool delays) {
       if (delays) {
         const std::uint64_t spins = split3(1717, s, self) % 40000;
         volatile std::uint64_t sink = 0;
-        for (std::uint64_t i = 0; i < spins; ++i) sink += i;
+        for (std::uint64_t i = 0; i < spins; ++i) sink = sink + i;
       }
       auto& mylog = log[self];
       for (const auto& msg : inbox) {

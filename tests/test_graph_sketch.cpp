@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "cluster/distributed_graph.hpp"
@@ -148,6 +149,30 @@ TEST(GraphSketch, DifferentSeedsDifferentSamples) {
   }
   // Vertex 0 of K_40 has 39 incident edges; fresh seeds must explore many.
   EXPECT_GE(sampled.size(), 10u);
+}
+
+TEST(GraphSketch, BuilderMatchesDirectUpdates) {
+  // The builder's hoisted level seeds and power tables, after a rebind too,
+  // give exactly the sketch of per-edge L0Sampler::update calls.
+  Rng rng(9);
+  const Graph g = gen::gnm(70, 200, rng);
+  const DistributedGraph dg = distribute(g);
+  GraphSketchBuilder b(g.num_vertices(), 21);
+  for (const std::uint64_t seed : {21ULL, 22ULL}) {
+    b.rebind(seed);
+    for (Vertex v = 0; v < 10; ++v) {
+      L0Sampler direct = b.empty_sketch();
+      for (const auto& he : dg.neighbors(v)) {
+        const Vertex x = std::min(v, he.to);
+        const Vertex y = std::max(v, he.to);
+        direct.update(edge_index(x, y, g.num_vertices()), v == x ? 1 : -1);
+      }
+      WordWriter built, want;
+      b.sketch_vertex(dg, v).serialize(built);
+      direct.serialize(want);
+      EXPECT_EQ(std::move(built).take(), std::move(want).take()) << "vertex " << v;
+    }
+  }
 }
 
 TEST(GraphSketch, SketchSizeIsPolylog) {

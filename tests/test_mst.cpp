@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 
 #include "kmm.hpp"
 
@@ -172,8 +173,9 @@ INSTANTIATE_TEST_SUITE_P(
                       MstSweepCase{96, 4, 5}, MstSweepCase{96, 8, 6},
                       MstSweepCase{160, 8, 7}, MstSweepCase{160, 16, 8}),
     [](const auto& info) {
-      return "n" + std::to_string(info.param.n) + "_k" + std::to_string(info.param.k) +
-             "_s" + std::to_string(info.param.seed);
+      std::ostringstream os;
+      os << "n" << info.param.n << "_k" << info.param.k << "_s" << info.param.seed;
+      return os.str();
     });
 
 }  // namespace

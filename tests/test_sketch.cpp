@@ -1,9 +1,11 @@
 // One-sparse recovery cells and the l0-sampler: recovery, linearity,
-// cancellation, serialization, failure rates.
+// cancellation, live depths and the prefix-truncated wire form, failure
+// rates.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 
 #include "sketch/l0_sampler.hpp"
@@ -254,7 +256,9 @@ TEST(L0, AddSerializedMatchesDeserializeAdd) {
     const auto sa = acc_a.sample();
     const auto sb = acc_b.sample();
     ASSERT_EQ(sa.has_value(), sb.has_value());
-    if (sa.has_value()) EXPECT_EQ(sa->index, sb->index);
+    if (sa.has_value()) {
+      EXPECT_EQ(sa->index, sb->index);
+    }
   }
 }
 
@@ -327,11 +331,164 @@ TEST(L0, SampleSpreadsOverSupport) {
   EXPECT_EQ(hit.size(), kSupport);
 }
 
+// Reference for the live-depth bookkeeping: the same cells kept densely,
+// every level of every copy updated and scanned, as before live depths.
+struct DenseReference {
+  std::uint64_t seed;
+  L0Params params;
+  std::vector<OneSparseCell> cells;
+
+  DenseReference(std::uint64_t s, L0Params p)
+      : seed(s), params(p), cells(static_cast<std::size_t>(p.cells())) {}
+
+  OneSparseCell& cell(int c, int l) {
+    return cells[static_cast<std::size_t>(c * params.levels + l)];
+  }
+
+  void update(const L0Sampler& like, std::uint64_t index, int value) {
+    for (int c = 0; c < params.copies; ++c) {
+      const std::uint64_t rp = rpow(like.fingerprint_base(c), index);
+      for (int l = 0; l <= like.level_of(index, c); ++l) cell(c, l).update(index, value, rp);
+    }
+  }
+
+  std::optional<Recovered> sample(const L0Sampler& like) {
+    for (int c = 0; c < params.copies; ++c) {
+      for (int l = 0; l < params.levels; ++l) {
+        if (auto rec = cell(c, l).recover(like.fingerprint_base(c), kUniverse)) return rec;
+      }
+    }
+    return std::nullopt;
+  }
+
+  bool is_zero() {
+    for (int c = 0; c < params.copies; ++c) {
+      if (cell(c, 0).s0() != 0 || cell(c, 0).s2() != 0) return false;
+    }
+    return true;
+  }
+
+  /// The wire form spelled out: per copy, the depth past the last nonzero
+  /// cell, then that many cells.
+  std::vector<std::uint64_t> wire() {
+    std::vector<std::uint64_t> words;
+    for (int c = 0; c < params.copies; ++c) {
+      int depth = params.levels;
+      while (depth > 0 && cell(c, depth - 1).all_zero()) --depth;
+      words.push_back(static_cast<std::uint64_t>(depth));
+      for (int l = 0; l < depth; ++l) {
+        words.push_back(static_cast<std::uint64_t>(cell(c, l).s0()));
+        words.push_back(cell(c, l).s1());
+        words.push_back(cell(c, l).s2());
+      }
+    }
+    return words;
+  }
+};
+
+TEST(L0, LiveDepthMatchesDenseReference) {
+  // Random supports, then cancel none, part, or all of them — both through
+  // update() on the same sampler and through add() of a negated sketch.
+  Rng rng(37);
+  const auto params = L0Params::for_universe(kUniverse);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::uint64_t seed = split(83, trial);
+    L0Sampler s(kUniverse, params, seed);
+    L0Sampler negated(kUniverse, params, seed);
+    DenseReference ref(seed, params);
+    std::set<std::uint64_t> support;
+    const int size = 2 + static_cast<int>(rng.next_below(trial % 3 == 0 ? 8 : 300));
+    while (static_cast<int>(support.size()) < size) support.insert(rng.next_below(kUniverse));
+    for (const auto idx : support) {
+      s.update(idx, 1);
+      ref.update(s, idx, 1);
+    }
+    // trial % 4: 0 keeps everything, 1 cancels half in place, 2 cancels
+    // everything in place, 3 cancels half through add().
+    const int mode = trial % 4;
+    std::size_t i = 0;
+    for (const auto idx : support) {
+      const bool cancel = mode == 2 || ((mode == 1 || mode == 3) && i++ % 2 == 0);
+      if (!cancel) continue;
+      if (mode == 3) {
+        negated.update(idx, -1);
+      } else {
+        s.update(idx, -1);
+      }
+      ref.update(s, idx, -1);
+    }
+    if (mode == 3) s.add(negated);
+
+    EXPECT_EQ(s.is_zero(), ref.is_zero()) << "trial " << trial;
+    EXPECT_EQ(s.is_zero(), mode == 2) << "trial " << trial;
+    const auto got = s.sample();
+    const auto want = ref.sample(s);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "trial " << trial;
+    if (got.has_value()) {
+      EXPECT_EQ(got->index, want->index);
+      EXPECT_EQ(got->value, want->value);
+    }
+    EXPECT_EQ(wire_words(s), ref.wire()) << "trial " << trial;
+  }
+}
+
+TEST(L0, CancelledSumSerializesLikeDirectSketch) {
+  // a holds S and T, b holds -T: a + b must serialize to exactly the words
+  // of a sketch built from S alone, though a's live depth covers T too.
+  Rng rng(41);
+  const auto params = L0Params::for_universe(kUniverse);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::uint64_t seed = split(97, trial);
+    L0Sampler a(kUniverse, params, seed), b(kUniverse, params, seed);
+    L0Sampler direct(kUniverse, params, seed);
+    for (int i = 0; i < 1 + trial; ++i) {
+      const auto idx = rng.next_below(kUniverse);
+      a.update(idx, 1);
+      direct.update(idx, 1);
+    }
+    for (int i = 0; i < 200; ++i) {
+      const auto idx = rng.next_below(kUniverse);
+      a.update(idx, -1);
+      b.update(idx, 1);
+    }
+    a.add(b);
+    EXPECT_EQ(wire_words(a), wire_words(direct)) << "trial " << trial;
+  }
+}
+
+TEST(L0, ZeroSketchSerializesToCopiesWords) {
+  const auto params = L0Params::for_universe(kUniverse);
+  const std::vector<std::uint64_t> zeros(static_cast<std::size_t>(params.copies), 0);
+  L0Sampler s(kUniverse, params, 53);
+  EXPECT_EQ(wire_words(s), zeros);
+  // Fully cancelled: the live depth is high but every cell is zero again.
+  for (std::uint64_t i = 0; i < 64; ++i) s.update(i * 7919, 1);
+  for (std::uint64_t i = 0; i < 64; ++i) s.update(i * 7919, -1);
+  EXPECT_EQ(wire_words(s), zeros);
+  WordReader r(zeros);
+  L0Sampler acc(kUniverse, params, 53);
+  acc.add_serialized(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_TRUE(acc.is_zero());
+}
+
 TEST(L0, WireBitsMatchParams) {
-  const auto s = make_sampler(1);
+  auto s = make_sampler(1);
   const auto& params = s.params();
-  EXPECT_EQ(s.wire_bits(),
-            static_cast<std::uint64_t>(params.cells()) * OneSparseCell::wire_bits(kUniverse));
+  const std::uint64_t dense =
+      static_cast<std::uint64_t>(params.cells()) * OneSparseCell::wire_bits(kUniverse);
+  // The declared size is the dense one whatever the physical word count.
+  std::set<std::size_t> lengths;
+  Rng rng(61);
+  for (const int size : {0, 1, 5, 500}) {
+    s.reset(1);
+    for (int i = 0; i < size; ++i) s.update(rng.next_below(kUniverse), 1);
+    const std::size_t words = wire_words(s).size();
+    lengths.insert(words);
+    EXPECT_LE(words, s.max_serialized_words());
+    EXPECT_EQ(s.wire_bits(), dense);
+  }
+  EXPECT_EQ(lengths.size(), 4u);  // the physical lengths really differ
   // O(polylog): a few hundred field elements at most for this universe.
   EXPECT_LT(s.wire_bits(), 50'000u);
 }
@@ -340,6 +497,29 @@ TEST(L0Death, MismatchedCombineRejected) {
   auto a = make_sampler(1);
   auto b = make_sampler(2);  // different seed
   EXPECT_DEATH(a.add(b), "different construction");
+}
+
+TEST(L0Death, WireDepthAboveLevelsRejected) {
+  const auto params = L0Params::for_universe(kUniverse);
+  // A depth word one past `levels`, backed by enough cell words that only
+  // the depth check can object.
+  std::vector<std::uint64_t> words(static_cast<std::size_t>(params.copies) +
+                                       3 * static_cast<std::size_t>(params.cells() + 1),
+                                   0);
+  words[0] = static_cast<std::uint64_t>(params.levels) + 1;
+  L0Sampler acc(kUniverse, params, 67);
+  EXPECT_DEATH(
+      {
+        WordReader r(words);
+        acc.add_serialized(r);
+      },
+      "depth exceeds levels");
+  EXPECT_DEATH(
+      {
+        WordReader r(words);
+        (void)L0Sampler::deserialize(kUniverse, params, 67, r);
+      },
+      "depth exceeds levels");
 }
 
 TEST(L0Death, UpdateOutsideUniverse) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "kmm.hpp"
 
@@ -45,8 +46,9 @@ INSTANTIATE_TEST_SUITE_P(
                       MinCutCase{96, 3, 4, 5}, MinCutCase{96, 12, 8, 6},
                       MinCutCase{128, 6, 16, 7}, MinCutCase{128, 24, 16, 8}),
     [](const auto& info) {
-      return "n" + std::to_string(info.param.n) + "_l" + std::to_string(info.param.lambda) +
-             "_k" + std::to_string(info.param.k);
+      std::ostringstream os;
+      os << "n" << info.param.n << "_l" << info.param.lambda << "_k" << info.param.k;
+      return os.str();
     });
 
 // --------------------------------------------------------------- flooding
@@ -91,8 +93,9 @@ std::vector<FloodCase> flood_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Families, FloodingSweep, ::testing::ValuesIn(flood_cases()),
                          [](const auto& info) {
-                           return "f" + std::to_string(info.param.family) + "_k" +
-                                  std::to_string(info.param.k);
+                           std::ostringstream os;
+                           os << "f" << info.param.family << "_k" << info.param.k;
+                           return os.str();
                          });
 
 // ---------------------------------------------------------------- REP MST

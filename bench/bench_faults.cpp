@@ -4,9 +4,9 @@
 // Two claims pinned here:
 //   * a FaultPlane with checkpointing off (empty schedule, no
 //     always_checkpoint) adds ZERO steady-state allocations to the superstep
-//     loop — the plane rides the runtime's always-sharded path, whose
-//     buffers are all warm after the first few steps (asserted; the bench
-//     exits nonzero on violation);
+//     loop — the plane rides the runtime's shard delivery, whose buffers
+//     are all warm after the first few steps (asserted; the bench exits
+//     nonzero on violation);
 //   * checkpoint cadence C trades wall-clock overhead against replay depth:
 //     C=1 snapshots every superstep (max overhead, zero replay), C=64
 //     amortizes to near-baseline. The measured wall/allocs/words columns at

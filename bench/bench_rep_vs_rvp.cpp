@@ -63,16 +63,16 @@ int main() {
       const std::uint64_t label_bits = bits_for(n);
       const std::uint64_t edge_bits = 2 * label_bits + 64;
       const StatsScope scope(cluster);
-      for (MachineId i = 0; i < k; ++i) {
+      Runtime rt(cluster);
+      rt.step([&](MachineId i, std::span<const Message>, Outbox& out) {
         Rng tree_rng(split3(149, i, n));
         const Graph tree = gen::random_tree(n, tree_rng);
         for (const auto& edge : tree.edges()) {
           for (const MachineId dst : {rvp.home(edge.u), rvp.home(edge.v)}) {
-            cluster.send(i, dst, 1, {}, edge_bits);
+            out.send(dst, 1, {}, edge_bits);
           }
         }
-      }
-      cluster.superstep();
+      });
       const auto rounds = scope.snapshot().rounds;
       const double predicted = 2.0 * static_cast<double>(n) * edge_bits /
                                (static_cast<double>(k) *

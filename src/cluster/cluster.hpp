@@ -8,8 +8,8 @@
 // convention). Local computation is free.
 //
 // Algorithms run as a sequence of *supersteps*: every machine reads its
-// inbox, computes, and enqueues messages; `superstep()` then delivers
-// everything and charges
+// inbox, computes, and emits messages; the delivery plane then moves
+// everything into the destination inboxes and charges
 //
 //     rounds = max over directed links  ceil(bits_on_link / bandwidth_bits)
 //
@@ -21,19 +21,18 @@
 // per-link maxima, per-machine traffic) — the measurements every benchmark
 // in EXPERIMENTS.md is built on.
 //
-// Execution paths: algorithms either send() directly (sequential; staged
-// sends are delivered and accounted by deliver_pending() in one ordered
-// pass) or run on the src/runtime/ parallel engine, whose per-source shards
-// are delivered through the direct per-destination plane
-// (deliver_shards_begin / deliver_shard_to / deliver_shards_finish): k
-// concurrent tasks move each destination's buckets straight into its inbox
-// and the ledger partials are reduced in ascending link order afterwards.
-// The two paths share the same accounting rules over the same per-link
-// quantities, so the ledger is by construction bit-identical however the
-// local computation was scheduled — tests/test_golden_stats.cpp pins it.
+// One delivery protocol: the src/runtime/ engine runs each superstep's
+// handlers into per-source OutboxShards (bucketed by destination) and hands
+// them to deliver_shards_begin / deliver_shard_to / deliver_shards_finish.
+// The k per-destination tasks move each destination's buckets straight into
+// its inbox (concurrently or one after another — the result is the same),
+// and the per-destination ledger partials are folded afterwards.
+// Every reduced quantity is an unsigned sum or maximum of per-link values,
+// so the ledger is by construction bit-identical however the local
+// computation and the delivery tasks were scheduled —
+// tests/test_golden_stats.cpp pins it.
 
 #include <cstdint>
-#include <initializer_list>
 #include <span>
 #include <utility>
 #include <vector>
@@ -56,13 +55,13 @@ struct ClusterConfig {
   static ClusterConfig for_graph(std::size_t n, MachineId k);
 };
 
-/// One machine's private send buffer in sharded (parallel runtime) mode:
-/// per-destination message buckets plus the arena backing spilled payloads.
+/// One machine's private send buffer for one superstep: per-destination
+/// message buckets plus the arena backing spilled payloads.
 /// Bucketing by destination at send time is what lets the delivery plane
 /// run as k independent per-destination tasks that move messages without
 /// scanning: destination d's task walks buckets[d] of every shard in
-/// ascending source order, which reproduces the sequential global send
-/// order as seen by inbox d exactly. clear() retains the capacity of every
+/// ascending source order, which is the classic "for each machine, send"
+/// order as seen by inbox d. clear() retains the capacity of every
 /// bucket and the arena, so a warm shard absorbs a whole superstep without
 /// allocating.
 struct OutboxShard {
@@ -79,7 +78,7 @@ struct OutboxShard {
 
 struct ClusterStats {
   std::uint64_t rounds = 0;           // total rounds charged
-  std::uint64_t supersteps = 0;       // number of superstep() calls that sent data
+  std::uint64_t supersteps = 0;       // number of deliveries that moved data
   std::uint64_t messages = 0;         // cross-machine messages delivered
   std::uint64_t local_messages = 0;   // self-addressed (free) messages
   std::uint64_t total_bits = 0;       // cross-machine wire bits
@@ -103,54 +102,25 @@ class Cluster {
   [[nodiscard]] MachineId k() const noexcept { return config_.k; }
   [[nodiscard]] std::uint64_t bandwidth_bits() const noexcept { return config_.bandwidth_bits; }
 
-  /// Enqueue a message for the next superstep. The payload is copied —
-  /// inline into the Message when it fits, into the pending arena otherwise
-  /// — so the caller's buffer may be reused immediately.
-  void send(MachineId src, MachineId dst, std::uint32_t tag,
-            std::span<const std::uint64_t> payload, std::uint64_t bits = 0);
-  void send(MachineId src, MachineId dst, std::uint32_t tag,
-            std::initializer_list<std::uint64_t> payload, std::uint64_t bits = 0) {
-    send(src, dst, tag, std::span<const std::uint64_t>(payload.begin(), payload.size()),
-         bits);
-  }
-
-  /// Move a pre-ordered batch of messages into the pending outbox —
-  /// equivalent to send() per message in batch order. Used by the parallel
-  /// Runtime to merge per-source outbox shards after the superstep barrier;
-  /// the batch is left empty (capacity retained for reuse). Spilled payloads
-  /// are re-homed from the shard's arena into the cluster's pending arena,
-  /// so the shard may be recycled as soon as the call returns.
-  void enqueue_batch(std::vector<Message>&& batch);
-
-  /// Deliver all enqueued messages; charge rounds; returns rounds charged.
-  /// After the call, inbox(m) holds machine m's received messages (in
-  /// deterministic send order) until the next superstep.
-  std::uint64_t superstep();
-
-  /// True when send() / enqueue_batch() messages are staged for the next
-  /// superstep(). The direct delivery plane below requires an empty staging
-  /// outbox; the Runtime falls back to the merge path when this holds.
-  [[nodiscard]] bool has_staged() const noexcept { return !outbox_.empty(); }
-
-  /// Direct shard->inbox delivery plane (the parallel path). Protocol:
+  /// The delivery plane — the only way messages move. Protocol:
   ///   deliver_shards_begin(shards)   caller thread, after the handler
   ///                                  barrier; shards[s] holds machine s's
   ///                                  sends bucketed by destination;
   ///   deliver_shard_to(d)            once per destination — safe to run
   ///                                  the k calls concurrently (each task
   ///                                  touches only destination-d state and
-  ///                                  the k*k link table's column d);
+  ///                                  every shard's bucket d);
   ///   deliver_shards_finish()        caller thread, after all per-
-  ///                                  destination tasks completed; tree-
-  ///                                  folds the per-destination ledger
-  ///                                  partials pairwise and returns the
-  ///                                  rounds charged.
-  /// Observationally identical — inbox contents, inbox order, and the full
-  /// ClusterStats ledger bit-for-bit — to enqueue_batch() per shard in
-  /// ascending source order followed by superstep(): every reduced quantity
-  /// is an unsigned sum or maximum of exactly the per-link values the
-  /// sequential pass accumulates message-by-message, so the hierarchical
-  /// fold order cannot change any ledger bit.
+  ///                                  destination tasks completed; folds
+  ///                                  the per-destination ledger partials
+  ///                                  into stats() and returns the rounds
+  ///                                  charged.
+  /// After finish, inbox(m) holds machine m's received messages in ascending
+  /// source order, each source's in send order, until the next delivery. A
+  /// delivery that moves nothing is free: no rounds, no superstep counted.
+  /// Every reduced quantity is an unsigned sum or maximum of per-link
+  /// values, so neither the task schedule nor the fold order can change a
+  /// ledger bit.
   void deliver_shards_begin(std::span<OutboxShard> shards);
   void deliver_shard_to(MachineId dst);
   std::uint64_t deliver_shards_finish();
@@ -191,73 +161,32 @@ class Cluster {
   }
 
  private:
-  /// The sequential delivery/accounting pass: routes every staged message
-  /// to its inbox and updates the full ledger in one ordered scan. The
-  /// send() path and the runtime's enqueue_batch() fallback terminate here;
-  /// the direct plane above implements the same rules destination-parallel.
-  std::uint64_t deliver_pending();
-
   ClusterConfig config_;
-  std::vector<Message> outbox_;                 // pending, in send order
   std::vector<std::vector<Message>> inboxes_;   // per machine, current superstep
   std::vector<std::uint8_t> cut_side_;          // empty = no cut tracked
   ClusterStats stats_;
 
-  // Double-buffered payload storage: sends spill into pending_arena_;
-  // superstep() recycles live_arena_ (last superstep's inbox payloads) and
-  // swaps, so delivered payloads stay valid exactly as long as the inbox
-  // they sit in. Chunk memory is stable across the swap, so no Message
-  // pointer is disturbed.
-  PayloadArena pending_arena_;
-  PayloadArena live_arena_;
-
-  // Flat k*k per-directed-link load table plus first-touch list, used only
-  // by the sequential deliver_pending() path and allocated LAZILY on its
-  // first use — runtime-driven workloads that always take the direct plane
-  // never pay the dense table. Entries are zeroed again after every
-  // delivery, so the steady state allocates nothing and max-load scanning
-  // is deterministic (first-touch order).
-  std::vector<std::uint64_t> link_bits_;
-  std::vector<std::uint64_t> touched_links_;
-  std::vector<std::uint32_t> inbox_counts_;  // per-destination count scratch
-
-  // Direct delivery plane state. Each inbox owns an arena for the spilled
+  // Delivery plane state. Each inbox owns an arena for the spilled
   // payloads delivered to it: destination d's task re-homes shard-arena
   // payloads into inbox_arenas_[d], so payload lifetime equals inbox
   // lifetime and the shards are reusable the moment delivery ends.
   //
   // Ledger partials are SPARSE per-destination rows rather than a dense
-  // dst-major k*k table: destination d's task appends one (src, bits) pair
-  // per source that actually sent to it (ascending src, since that is the
-  // bucket walk order) plus its scalar message counts. Tasks write disjoint
-  // rows, so the parallel phase stays contention-free, and the footprint is
-  // O(touched links), not O(k^2) — the flat table is no longer the ceiling
-  // at large k. finish() reduces the k rows by a pairwise TREE-FOLD
-  // (fold_nodes_ holds the current level; merges combine scalar aggregates
-  // and merge the ascending per-source sent lists): every folded quantity
-  // is a commutative unsigned sum or maximum, so the tree order reproduces
-  // the sequential ledger bit-for-bit. All buffers retain capacity — a warm
-  // cluster finishes a superstep without allocating.
+  // k*k table: destination d's task appends one (src, bits) pair per
+  // source that actually sent to it plus its scalar message counts. Tasks
+  // write disjoint rows, so the parallel phase stays contention-free, and
+  // the footprint is O(touched links), not O(k^2). finish() folds the k
+  // rows into the ledger on the calling thread. All buffers retain
+  // capacity — a warm cluster finishes a superstep without allocating.
   struct DeliveryPartial {
-    std::vector<std::pair<MachineId, std::uint64_t>> link_bits;  // ascending src
+    std::vector<std::pair<MachineId, std::uint64_t>> link_bits;  // (src, bits)
     std::uint64_t cross = 0;  // cross-machine messages into this destination
     std::uint64_t local = 0;  // self-addressed messages
   };
-  struct LedgerFold {
-    std::uint64_t total = 0;     // wire bits in this subtree
-    std::uint64_t max_link = 0;  // most-loaded link in this subtree
-    std::uint64_t cut = 0;       // bits crossing the tracked cut
-    std::uint64_t cross = 0;
-    std::uint64_t local = 0;
-    std::vector<std::pair<MachineId, std::uint64_t>> sent;  // per-source bits, ascending
-  };
-  void fold_merge(LedgerFold& into, LedgerFold& from);
 
   std::span<OutboxShard> delivery_shards_;       // valid between begin/finish
   std::vector<PayloadArena> inbox_arenas_;       // one per destination
   std::vector<DeliveryPartial> delivery_partials_;  // one sparse row per destination
-  std::vector<LedgerFold> fold_nodes_;           // tree-fold working set (k leaves)
-  std::vector<std::pair<MachineId, std::uint64_t>> fold_merge_tmp_;
 };
 
 }  // namespace kmm

@@ -81,7 +81,7 @@ struct Message {
 
   /// Re-home a spilled payload into `arena` (no-op for inline payloads).
   /// Used when a message migrates between arena generations — e.g. from a
-  /// Runtime shard arena into the Cluster's pending arena at batch merge.
+  /// Runtime shard arena into the destination inbox's arena at delivery.
   void reintern(PayloadArena& arena) {
     if (words_ > kInlinePayloadWords) {
       external_ = arena.intern({external_, words_}).data();

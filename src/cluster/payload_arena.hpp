@@ -5,8 +5,9 @@
 // pointers valid until the next reset(), and reset() rewinds to the start
 // while keeping every chunk's memory, so a warm arena allocates nothing in
 // steady state. One generation of an arena backs one superstep's worth of
-// spilled payloads; the Cluster keeps two (pending / live) and swaps them
-// per superstep, the Runtime keeps one per outbox shard.
+// spilled payloads: the Runtime keeps one per outbox shard (payloads as
+// sent), the Cluster one per inbox (payloads as delivered, re-homed from
+// the shard arenas so both sides recycle independently).
 
 #include <algorithm>
 #include <cstddef>

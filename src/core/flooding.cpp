@@ -161,11 +161,4 @@ FloodingResult flooding_connectivity(Cluster& cluster, const DistributedGraph& d
   return result;
 }
 
-FloodingResult flooding_connectivity(Cluster& cluster, const DistributedGraph& dg,
-                                     std::uint64_t max_supersteps) {
-  FloodingConfig config;
-  config.max_supersteps = max_supersteps;
-  return flooding_connectivity(cluster, dg, config);
-}
-
 }  // namespace kmm

@@ -63,9 +63,4 @@ struct FloodingResult {
                                                    const DistributedGraph& dg,
                                                    const FloodingConfig& config = {});
 
-/// Back-compat shim for callers that only cap the iteration count.
-[[nodiscard]] FloodingResult flooding_connectivity(Cluster& cluster,
-                                                   const DistributedGraph& dg,
-                                                   std::uint64_t max_supersteps);
-
 }  // namespace kmm

@@ -48,10 +48,4 @@ LeaderResult elect_leader(Cluster& cluster, const LeaderElectionConfig& config) 
   return result;
 }
 
-LeaderResult elect_leader(Cluster& cluster, std::uint64_t seed) {
-  LeaderElectionConfig config;
-  config.seed = seed;
-  return elect_leader(cluster, config);
-}
-
 }  // namespace kmm

@@ -36,7 +36,4 @@ struct LeaderResult {
 
 [[nodiscard]] LeaderResult elect_leader(Cluster& cluster, const LeaderElectionConfig& config);
 
-/// Back-compat shim: election with the default single-threaded runtime.
-[[nodiscard]] LeaderResult elect_leader(Cluster& cluster, std::uint64_t seed);
-
 }  // namespace kmm

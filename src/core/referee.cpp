@@ -70,11 +70,4 @@ RefereeResult referee_connectivity(Cluster& cluster, const DistributedGraph& dg,
   return result;
 }
 
-RefereeResult referee_connectivity(Cluster& cluster, const DistributedGraph& dg,
-                                   bool broadcast_labels) {
-  RefereeConfig config;
-  config.broadcast_labels = broadcast_labels;
-  return referee_connectivity(cluster, dg, config);
-}
-
 }  // namespace kmm

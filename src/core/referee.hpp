@@ -44,8 +44,4 @@ struct RefereeResult {
 [[nodiscard]] RefereeResult referee_connectivity(Cluster& cluster, const DistributedGraph& dg,
                                                  const RefereeConfig& config = {});
 
-/// Back-compat shim for callers that only toggle the broadcast.
-[[nodiscard]] RefereeResult referee_connectivity(Cluster& cluster, const DistributedGraph& dg,
-                                                 bool broadcast_labels);
-
 }  // namespace kmm

@@ -3,13 +3,13 @@
 //
 // The Runtime records begin/end spans for every unit of superstep work:
 //
-//   kSuperstep  one Runtime::step (parallel or sequential), lane 0
+//   kSuperstep  one StepMode::kParallel Runtime::step (any thread count),
+//               lane 0
 //   kInline     one StepMode::kInline control-plane step, lane 0
 //   kHandler    one machine's on_superstep handler chunk, recorded on the
 //               worker lane that executed it (arg = machine id)
-//   kDeliver    one deliver_shard_to(d) task on the parallel path (arg =
-//               destination), or the whole Cluster::superstep() delivery
-//               on the sequential path
+//   kDeliver    one deliver_shard_to(d) task, recorded on the lane that ran
+//               it (arg = destination)
 //   kReduce     deliver_shards_finish — the deterministic ledger reduction
 //   kRecovery   the fault plane's crash-recovery work at the start of a
 //               step (checkpoint restore, replay, inbox retransmission),

@@ -2,29 +2,16 @@
 // Per-machine send port handed to superstep handlers.
 //
 // A handler running as machine i may only emit messages with src == i; the
-// Outbox enforces that and hides where the messages physically go:
-//
-//  * direct mode    — writes straight into the Cluster's pending outbox
-//                     (the sequential path; handlers run one machine at a
-//                     time in machine order, so the global send order is the
-//                     classic "for each machine, send" order);
-//  * sharded mode   — writes into a private per-source OutboxShard owned by
-//                     the Runtime (per-destination message buckets + payload
-//                     arena, all capacity-retaining; the type lives in
-//                     cluster/cluster.hpp because the delivery plane
-//                     consumes it directly); after the superstep barrier the
-//                     Runtime delivers the shards through the Cluster's
-//                     direct per-destination delivery plane, which
-//                     reproduces exactly the direct-mode per-inbox order
-//                     regardless of how handler execution interleaved
-//                     across threads.
-//
-// Either way every message reaches the Cluster's delivery/accounting
-// plane (superstep() or deliver_shards_*, which share the ledger rules by
-// construction), so the round/bit ledger cannot diverge between the two
-// execution modes. Payloads are passed as spans and copied at send time
-// (inline in the Message when <= kInlinePayloadWords, else into the owning
-// arena), so callers may reuse their scratch buffers immediately.
+// Outbox enforces that and writes into machine i's private OutboxShard,
+// owned by the Runtime (per-destination message buckets + payload arena,
+// all capacity-retaining; the type lives in cluster/cluster.hpp because the
+// delivery plane consumes it directly). After the handler barrier the
+// Runtime delivers the shards through the Cluster's per-destination
+// delivery plane, which yields the same per-inbox order however handler
+// execution interleaved across threads. Payloads are passed as spans and
+// copied at send time (inline in the Message when <= kInlinePayloadWords,
+// else into the shard's arena), so callers may reuse their scratch buffers
+// immediately.
 
 #include <cstdint>
 #include <initializer_list>
@@ -40,29 +27,20 @@ namespace kmm {
 
 class Outbox {
  public:
-  /// Direct mode: messages go straight to `cluster`.
-  Outbox(Cluster& cluster, MachineId self) noexcept
-      : cluster_(&cluster), shard_(nullptr), self_(self), k_(cluster.k()) {}
-
-  /// Sharded mode: messages buffer in `shard` until the Runtime merges it.
+  /// Messages from `self` buffer in `shard` until the Runtime delivers it.
   Outbox(OutboxShard& shard, MachineId self, MachineId k) noexcept
-      : cluster_(nullptr), shard_(&shard), self_(self), k_(k) {}
+      : shard_(&shard), self_(self), k_(k) {}
 
   [[nodiscard]] MachineId self() const noexcept { return self_; }
   [[nodiscard]] MachineId machines() const noexcept { return k_; }
 
-  /// Enqueue a message from this machine for the next delivery. Same
-  /// semantics as Cluster::send with src pinned to self(); the payload is
-  /// copied, so the caller's buffer may be reused right away.
+  /// Enqueue a message from this machine for the next delivery. The
+  /// payload is copied, so the caller's buffer may be reused right away;
+  /// `bits` is the declared payload size on the wire (0 = 64 per word).
   void send(MachineId dst, std::uint32_t tag, std::span<const std::uint64_t> payload,
             std::uint64_t bits = 0) {
     KMM_CHECK(dst < k_);
-    if (cluster_ != nullptr) {
-      cluster_->send(self_, dst, tag, payload, bits);
-    } else {
-      shard_->buckets[dst].push_back(
-          Message::make(self_, dst, tag, payload, bits, shard_->arena));
-    }
+    shard_->buckets[dst].push_back(Message::make(self_, dst, tag, payload, bits, shard_->arena));
   }
 
   void send(MachineId dst, std::uint32_t tag, std::initializer_list<std::uint64_t> payload,
@@ -71,7 +49,6 @@ class Outbox {
   }
 
  private:
-  Cluster* cluster_;
   OutboxShard* shard_;
   MachineId self_;
   MachineId k_;

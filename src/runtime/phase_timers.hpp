@@ -3,11 +3,9 @@
 //
 // Every Runtime::step() adds its phase durations here:
 //   handler — per-machine local computation (the parallel_for, or the
-//             sequential machine loop on the threads=1 path);
-//   deliver — moving messages into inboxes (the parallel per-destination
-//             shard scan, or Cluster::superstep() on the sequential path);
-//   reduce  — folding the per-destination ledger partials into ClusterStats
-//             (zero on the sequential path, whose delivery accounts inline).
+//             in-order machine loop at threads=1 and on kInline steps);
+//   deliver — the k per-destination tasks moving shard buckets into inboxes;
+//   reduce  — folding the per-destination ledger partials into ClusterStats.
 //
 // This is the *compatibility shim* over the observability plane: the
 // Runtime measures each phase exactly once per step and feeds the same

@@ -50,13 +50,8 @@ Runtime::Runtime(Cluster& cluster, RuntimeConfig config)
       pool_ = owned_pool_.get();
     }
   }
-  // Shards exist whenever any step can run sharded: multi-threaded steps,
-  // or any step under an attached fault plane (transit emulation intercepts
-  // the shard buckets between the handler barrier and delivery).
-  if (threads_ > 1 || fault_ != nullptr) {
-    shards_.resize(cluster_->k());
-    for (auto& shard : shards_) shard.resize(cluster_->k());
-  }
+  shards_.resize(cluster_->k());
+  for (auto& shard : shards_) shard.resize(cluster_->k());
 }
 
 Runtime::~Runtime() = default;
@@ -108,36 +103,23 @@ std::uint64_t Runtime::step(MachineProgram& program, StepMode mode) {
                  static_cast<std::uint32_t>(victims), rb, tr->now_ns());
     }
   }
-  const std::uint64_t t0 = tick();
+  // Every step: handler i writes into shard i while inboxes stay read-only;
+  // after the barrier the k per-destination delivery tasks move the buckets
+  // straight into their inboxes and the finish call reduces the ledger
+  // partials. kInline steps and threads = 1 run both loops in machine order
+  // on this thread; the result is the same either way.
   const bool parallel = pool_ != nullptr && mode != StepMode::kInline;
-  if (fault_ == nullptr && !parallel) {
-    // Sequential path: handlers write directly into the cluster outbox in
-    // machine order — the legacy "for each machine, compute and send" loop.
-    for (MachineId i = 0; i < k; ++i) {
-      const std::uint64_t hb = tr != nullptr ? tr->now_ns() : 0;
-      Outbox out(*cluster_, i);
-      program.on_superstep(i, cluster_->inbox(i), out);
-      if (tr != nullptr) {
-        tr->record(ThreadPool::current_lane(), SpanKind::kHandler, step_ordinal_, i, hb,
-                   tr->now_ns());
-      }
+  const auto for_each_machine = [&](const auto& fn) {
+    if (parallel) {
+      pool_->parallel_for(k, fn);
+    } else {
+      for (MachineId i = 0; i < k; ++i) fn(i);
     }
-    const std::uint64_t t1 = tick();
-    const std::uint64_t rounds = cluster_->superstep();
-    const std::uint64_t t2 = tick();
-    if (tr != nullptr) tr->record(0, SpanKind::kDeliver, step_ordinal_, 0, t1, t2);
-    return finish_step(mode, elapsed_ns(t0, t1), elapsed_ns(t1, t2), 0, t0, rounds);
-  }
-  // Sharded path: every handler owns shard i; inboxes are read-only until
-  // the barrier, after which the k per-destination delivery tasks move the
-  // buckets straight into their inboxes — one move per message, no staging
-  // outbox — and the finish call reduces the ledger partials. An attached
-  // fault plane forces this path even for sequential/kInline steps (the
-  // modes are observationally identical) so link-fault emulation can
-  // intercept the buckets between the handler barrier and delivery.
+  };
   const std::uint64_t deadline_ns =
       fault_ != nullptr ? fault_->handler_deadline_ns() : 0;
-  const auto run_handler = [&](std::size_t i) {
+  const std::uint64_t t0 = tick();
+  for_each_machine([&](std::size_t i) {
     const auto self = static_cast<MachineId>(i);
     const std::uint64_t hb = tr != nullptr ? tr->now_ns() : 0;
     shards_[i].clear();  // buckets and arena capacity retained from last step
@@ -154,30 +136,8 @@ std::uint64_t Runtime::step(MachineProgram& program, StepMode mode) {
       tr->record(ThreadPool::current_lane(), SpanKind::kHandler, step_ordinal_, self, hb,
                  tr->now_ns());
     }
-  };
-  if (parallel) {
-    pool_->parallel_for(k, run_handler);
-  } else {
-    for (MachineId i = 0; i < k; ++i) run_handler(i);
-  }
+  });
   const std::uint64_t t1 = tick();
-  if (cluster_->has_staged()) {
-    // Rare fallback: direct Cluster::send() calls were staged between
-    // steps. Merge the shards behind them in (source, destination) order —
-    // per-inbox order equals the sequential path's — and deliver through
-    // the legacy single-pass accounting. Link-fault emulation is skipped
-    // here: staged sends bypass the shard plane, so fault schedules are
-    // only honored on the direct delivery path (all src/core/ algorithms).
-    for (MachineId src = 0; src < k; ++src) {
-      for (MachineId dst = 0; dst < k; ++dst) {
-        cluster_->enqueue_batch(std::move(shards_[src].buckets[dst]));
-      }
-    }
-    const std::uint64_t rounds = cluster_->superstep();
-    const std::uint64_t t2 = tick();
-    if (tr != nullptr) tr->record(0, SpanKind::kDeliver, step_ordinal_, 0, t1, t2);
-    return finish_step(mode, elapsed_ns(t0, t1), elapsed_ns(t1, t2), 0, t0, rounds);
-  }
   if (fault_ != nullptr) {
     // Transit emulation: drops/duplicates burn bandwidth, reorders shuffle
     // within a link, corruptions flip payload bits — then the retransmit
@@ -186,19 +146,14 @@ std::uint64_t Runtime::step(MachineProgram& program, StepMode mode) {
     fault_->apply_link_faults(*cluster_, shards_);
   }
   cluster_->deliver_shards_begin(shards_);
-  const auto run_delivery = [&](std::size_t i) {
+  for_each_machine([&](std::size_t i) {
     const std::uint64_t db = tr != nullptr ? tr->now_ns() : 0;
     cluster_->deliver_shard_to(static_cast<MachineId>(i));
     if (tr != nullptr) {
       tr->record(ThreadPool::current_lane(), SpanKind::kDeliver, step_ordinal_,
                  static_cast<std::uint32_t>(i), db, tr->now_ns());
     }
-  };
-  if (parallel) {
-    pool_->parallel_for(k, run_delivery);
-  } else {
-    for (MachineId i = 0; i < k; ++i) run_delivery(i);
-  }
+  });
   const std::uint64_t t2 = tick();
   const std::uint64_t rounds = cluster_->deliver_shards_finish();
   const std::uint64_t t3 = tick();

@@ -1,34 +1,35 @@
 #pragma once
-// Thread-parallel superstep driver for the k-machine simulator.
+// Superstep driver for the k-machine simulator.
 //
-// The sequential Cluster charges rounds by the most-loaded link, but
-// executing all k machines' local computation on one thread makes wall-clock
-// time scale with *total* work. The Runtime closes that gap twice over: it
-// runs the k per-machine handlers of a superstep on a worker pool, each
-// writing to a private per-source outbox shard bucketed by destination, then
-// — after a barrier — delivers the shards through the Cluster's direct
-// per-destination delivery plane (deliver_shards_begin / deliver_shard_to /
-// deliver_shards_finish): k independent delivery tasks, one per destination,
-// each moving its buckets straight into its inbox, with the ledger reduced
-// deterministically afterwards. Both halves of the superstep — compute and
-// delivery — parallelize.
+// The Cluster charges rounds by the most-loaded link, but executing all k
+// machines' local computation on one thread makes wall-clock time scale
+// with *total* work. The Runtime closes that gap twice over. Every step runs
+// the k per-machine handlers, each writing to a private per-source outbox
+// shard bucketed by destination, and then — after a barrier — delivers the
+// shards through the Cluster's per-destination delivery plane
+// (deliver_shards_begin / deliver_shard_to / deliver_shards_finish): k
+// independent delivery tasks, one per destination, each moving its buckets
+// straight into its inbox, with the ledger reduced deterministically
+// afterwards. With a worker pool both halves of the superstep — compute and
+// delivery — run in parallel; without one they run as in-order loops on the
+// calling thread. There is one delivery sequence either way.
 //
 // Invariant (tested by tests/test_runtime.cpp and tests/test_delivery.cpp):
 // the ClusterStats ledger — rounds, supersteps, messages, bits, per-link
 // maxima, per-machine traffic, cut bits — is bit-identical for every thread
-// count, including the sequential threads=1 path, because
+// count, because
 //   * destination d's delivery task walks the shards' d-buckets in
 //     ascending source order (per-machine send order preserved), which is
-//     exactly the sequential global send order projected onto inbox d, and
-//   * the ledger reduction tree-folds the sparse per-destination link
-//     partials pairwise, and every reduced quantity is an unsigned sum or
-//     maximum of the same per-link values the sequential pass accumulates
-//     message-by-message — so the hierarchical fold order cannot change a
-//     ledger bit (see cluster.hpp for the delivery contract).
+//     the classic "for each machine, send" order projected onto inbox d,
+//     however the handlers were scheduled, and
+//   * the ledger reduction folds the sparse per-destination link partials,
+//     and every reduced quantity is an unsigned sum or maximum of the same
+//     per-link values — so the fold order cannot change a ledger bit (see
+//     cluster.hpp for the delivery contract).
 //
-// threads semantics: 1 = sequential in-line execution (no pool, handlers
-// write directly into the cluster outbox); 0 = hardware concurrency; any
-// value is clamped to k (more workers than machines cannot help).
+// threads semantics: 1 = no pool, handlers and delivery tasks run in machine
+// order on the calling thread; 0 = hardware concurrency; any value is
+// clamped to k (more workers than machines cannot help).
 //
 // ---------------------------------------------------------------------------
 // Porting recipe: Cluster loop -> SuperstepFn
@@ -36,17 +37,18 @@
 // Every algorithm in src/core/ used to be written as the classic sequential
 // pattern
 //
-//     for (MachineId i = 0; i < k; ++i) { ...compute for i...; cluster.send(i, ...); }
-//     cluster.superstep();
-//     for (MachineId i = 0; i < k; ++i) { ...read cluster.inbox(i)...; }
+//     for (MachineId i = 0; i < k; ++i) { ...compute for i...; send from i...; }
+//     deliver everything;
+//     for (MachineId i = 0; i < k; ++i) { ...read inbox(i)...; }
 //
 // The mechanical transformation (flooding_connectivity is the worked
 // example) is:
 //
 //   1. Each "for each machine: compute + send" loop body becomes one
 //      SuperstepFn handler: rt.step([&](MachineId i, inbox, out) {...}).
-//      The handler sends through `out` (src is pinned to i) and the step's
-//      trailing Cluster::superstep() replaces the explicit call.
+//      The handler sends through `out` (src is pinned to i); the Outbox is
+//      the only way to send, and the step's trailing delivery replaces the
+//      explicit "deliver everything".
 //   2. The "read inboxes" loop moves into the NEXT step's handler — the
 //      inbox span a handler receives is exactly what the previous step
 //      delivered to machine i. A read-only step that sends nothing is a
@@ -72,18 +74,17 @@
 //      Message::payload() span across steps — both are recycled when the
 //      next delivery begins — and never poke another machine's inbox from
 //      a handler.
-//   7. To stay observable, route every superstep through Runtime::step and
-//      every delivery through the step's trailing superstep() — that is
-//      where the obs plane (src/obs/) hangs its hooks, so a port that obeys
-//      rules 1-6 gets per-superstep metrics rows and trace spans for free
-//      through config.obs with no code of its own. What a port must NOT
-//      do: call Cluster::superstep() directly between steps (the delivery
-//      escapes both the timeline row and the phase timers), busy-loop
-//      inside a handler waiting on cross-machine state (a handler span is
-//      assumed to be pure local compute), or hold a pointer to the obs
-//      sinks' output mid-run (rows and rings reallocate/wrap). Analytic
-//      Cluster::charge_rounds() between steps is fine — the timeline folds
-//      the charge into the next recorded row.
+//   7. To stay observable, route every superstep through Runtime::step —
+//      that is where the obs plane (src/obs/) hangs its hooks, so a port
+//      that obeys rules 1-6 gets per-superstep metrics rows and trace spans
+//      for free through config.obs with no code of its own. What a port
+//      must NOT do: drive the Cluster's delivery plane directly between
+//      steps (the delivery escapes both the timeline row and the phase
+//      timers), busy-loop inside a handler waiting on cross-machine state
+//      (a handler span is assumed to be pure local compute), or hold a
+//      pointer to the obs sinks' output mid-run (rows and rings
+//      reallocate/wrap). Analytic Cluster::charge_rounds() between steps is
+//      fine — the timeline folds the charge into the next recorded row.
 //   8. To survive the fault plane (RuntimeConfig::fault, src/fault/), a
 //      program must be recoverable in one of three ways, preferred first:
 //      (a) a persistent MachineProgram overrides checkpointable() -> true
@@ -149,11 +150,11 @@
 //      holds only because re-execution from that boundary is
 //      deterministic in everything but thread count.
 //
-// Because the handler order in sequential mode and the shard-merge order in
-// parallel mode are both ascending machine order, a ported algorithm's sends
-// hit Cluster::superstep() in the exact order of the original loop: the
-// ledger is unchanged by the port AND thread-invariant afterwards
-// (enforced repo-wide by tests/test_runtime.cpp).
+// Because every inbox is filled in ascending source order, each source's
+// messages in send order, a ported algorithm's inboxes hold exactly what
+// the original loop would have delivered: the ledger is unchanged by the
+// port AND thread-invariant afterwards (enforced repo-wide by
+// tests/test_runtime.cpp).
 // ---------------------------------------------------------------------------
 
 #include <concepts>
@@ -176,8 +177,9 @@ class FaultPlane;
 class CancelPoint;
 
 struct RuntimeConfig {
-  /// Worker threads for per-machine local computation. 1 = sequential,
-  /// 0 = std::thread::hardware_concurrency(), clamped to the cluster's k.
+  /// Worker threads for handlers and delivery tasks. 1 = no pool (both run
+  /// in machine order on the calling thread), 0 =
+  /// std::thread::hardware_concurrency(); clamped to the cluster's k.
   unsigned threads = 1;
   /// Optional observability sinks (metrics timeline / span trace recorder);
   /// null (the default) records nothing and costs one branch per step. The
@@ -186,11 +188,10 @@ struct RuntimeConfig {
   const ObsSink* obs = nullptr;
   /// Optional fault-injection & recovery plane (src/fault/fault_plane.hpp);
   /// null (the default) is bit-identical to a build without the plane.
-  /// Borrowed like the obs sinks. When attached, every step runs through
-  /// the sharded outboxes (even sequential/kInline ones) so transit faults
-  /// can be emulated uniformly — observationally identical by the delivery
-  /// plane's contract, so a detached-vs-attached ledger only differs by the
-  /// schedule's injected faults.
+  /// Borrowed like the obs sinks. When attached, the plane intercepts every
+  /// step's shard buckets between the handler barrier and delivery to
+  /// emulate transit faults, so a detached-vs-attached ledger only differs
+  /// by the schedule's injected faults.
   FaultPlane* fault = nullptr;
   /// Optional cooperative cancellation point (src/serve/cancel.hpp),
   /// borrowed like the obs sinks. When attached, every step() begins with
@@ -238,15 +239,15 @@ class FnProgram final : public MachineProgram {
 
 }  // namespace detail
 
-/// Per-step execution choice. Because the sharded-merge order equals the
-/// sequential order and all accounting is shared, the two modes are
-/// observationally identical — a program may pick per step without
-/// affecting results or the ledger. kInline skips the pool dispatch and is
-/// the right call for control-plane steps (applying one-word directives,
-/// counter updates) whose handler work is far below the barrier cost.
+/// Per-step execution choice. Both modes fill the same shards and deliver
+/// through the same plane, so they are observationally identical — a
+/// program may pick per step without affecting results or the ledger.
+/// kInline skips the pool dispatch and is the right call for control-plane
+/// steps (applying one-word directives, counter updates) whose handler work
+/// is far below the barrier cost.
 enum class StepMode {
   kParallel,  // use the worker pool when threads > 1
-  kInline,    // always run handlers sequentially on the calling thread
+  kInline,    // always run handlers and delivery in order on the calling thread
 };
 
 class Runtime {
@@ -264,9 +265,9 @@ class Runtime {
   [[nodiscard]] unsigned threads() const noexcept { return threads_; }
 
   /// Execute one superstep of `program` across all machines (concurrently
-  /// when threads > 1 and mode is kParallel), then deliver via
-  /// Cluster::superstep(). Returns the rounds charged. A superstep in which
-  /// no handler sends is free, exactly like an empty sequential superstep.
+  /// when threads > 1 and mode is kParallel), then deliver through the
+  /// Cluster's delivery plane. Returns the rounds charged. A superstep in
+  /// which no handler sends is free.
   std::uint64_t step(MachineProgram& program, StepMode mode = StepMode::kParallel);
 
   /// Same, with an ad-hoc handler — the porting seam for algorithms written
@@ -300,7 +301,7 @@ class Runtime {
   std::uint64_t step_ordinal_ = 0;    // steps driven by this Runtime (incl. free)
   std::unique_ptr<ThreadPool> owned_pool_;  // private pool when none was borrowed
   ThreadPool* pool_ = nullptr;        // owned_pool_.get() or the borrowed pool
-  std::vector<OutboxShard> shards_;   // per-source buffers + arenas, reused
+  std::vector<OutboxShard> shards_;   // per-source buffers + arenas, reused every step
 };
 
 }  // namespace kmm

@@ -67,7 +67,8 @@ TEST(Referee, RoundsScaleWithEdges) {
   const auto run = [](const Graph& g) {
     Cluster cluster(ClusterConfig::for_graph(g.num_vertices(), 4));
     const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), 4, 17));
-    return referee_connectivity(cluster, dg, /*broadcast_labels=*/false).stats.rounds;
+    return referee_connectivity(cluster, dg, RefereeConfig{.broadcast_labels = false})
+        .stats.rounds;
   };
   // Collecting 10x the edges costs ~10x the rounds (referee bottleneck).
   const double ratio =

@@ -9,6 +9,7 @@
 #include "cluster/distributed_graph.hpp"
 #include "cluster/proxy.hpp"
 #include "graph/generators.hpp"
+#include "runtime/runtime.hpp"
 #include "util/hashing.hpp"
 #include "util/stats.hpp"
 
@@ -22,11 +23,28 @@ ClusterConfig small_config(MachineId k, std::uint64_t bandwidth) {
   return cfg;
 }
 
+struct Send {
+  MachineId src;
+  MachineId dst;
+  std::uint32_t tag;
+  std::vector<std::uint64_t> payload;
+  std::uint64_t bits = 0;
+};
+
+/// One Runtime::step whose handler for machine i sends the listed messages
+/// with src == i, in list order. Returns the rounds charged.
+std::uint64_t step_sending(Runtime& rt, const std::vector<Send>& sends) {
+  return rt.step([&](MachineId self, std::span<const Message>, Outbox& out) {
+    for (const Send& s : sends) {
+      if (s.src == self) out.send(s.dst, s.tag, s.payload, s.bits);
+    }
+  });
+}
+
 TEST(ClusterTest, DeliversMessages) {
   Cluster c(small_config(3, 1000));
-  c.send(0, 1, 7, {11, 22}, 10);
-  c.send(2, 1, 8, {33}, 5);
-  c.superstep();
+  Runtime rt(c);
+  step_sending(rt, {{0, 1, 7, {11, 22}, 10}, {2, 1, 8, {33}, 5}});
   const auto inbox = c.inbox(1);
   ASSERT_EQ(inbox.size(), 2u);
   EXPECT_EQ(inbox[0].src, 0u);
@@ -40,11 +58,14 @@ TEST(ClusterTest, LargePayloadSpillsToArenaIntact) {
   // > kInlinePayloadWords words forces the arena path; contents must be
   // byte-identical on the receive side and survive until the next superstep.
   Cluster c(small_config(2, 1 << 20));
+  Runtime rt(c);
   std::vector<std::uint64_t> big(3 * kInlinePayloadWords);
-  for (std::size_t i = 0; i < big.size(); ++i) big[i] = 0x9E3779B97F4A7C15ull * (i + 1);
-  c.send(0, 1, 9, big, 0);
-  big.assign(big.size(), 0);  // sender buffer reusable immediately: send copied
-  c.superstep();
+  rt.step([&](MachineId self, std::span<const Message>, Outbox& out) {
+    if (self != 0) return;
+    for (std::size_t i = 0; i < big.size(); ++i) big[i] = 0x9E3779B97F4A7C15ull * (i + 1);
+    out.send(1, 9, big, 0);
+    big.assign(big.size(), 0);  // sender buffer reusable immediately: send copied
+  });
   const auto inbox = c.inbox(1);
   ASSERT_EQ(inbox.size(), 1u);
   const auto payload = inbox[0].payload();
@@ -58,17 +79,19 @@ TEST(ClusterTest, LargePayloadSpillsToArenaIntact) {
 TEST(ClusterTest, ArenaGenerationsRecycleWithoutCorruption) {
   // Many supersteps of mixed inline/spilled payloads through the same
   // cluster: each generation's payloads must read back correctly even as
-  // the pending/live arenas swap and recycle their chunks.
+  // the shard and inbox arenas recycle their chunks.
   Cluster c(small_config(4, 1 << 20));
+  Runtime rt(c);
   for (std::uint64_t round = 0; round < 50; ++round) {
+    std::vector<Send> sends;
     for (MachineId src = 0; src < 4; ++src) {
       const MachineId dst = (src + 1) % 4;
-      c.send(src, dst, 1, {round, src}, 0);  // inline
+      sends.push_back({src, dst, 1, {round, src}, 0});  // inline
       std::vector<std::uint64_t> big(kInlinePayloadWords + 1 + (round % 7),
                                      round * 131 + src);
-      c.send(src, dst, 2, big, 0);  // spilled
+      sends.push_back({src, dst, 2, big, 0});  // spilled
     }
-    c.superstep();
+    step_sending(rt, sends);
     for (MachineId m = 0; m < 4; ++m) {
       const auto inbox = c.inbox(m);
       ASSERT_EQ(inbox.size(), 2u);
@@ -105,41 +128,42 @@ TEST(PayloadArenaTest, StablePointersAcrossGrowthAndReuseAfterReset) {
 
 TEST(ClusterTest, InboxClearedNextSuperstep) {
   Cluster c(small_config(2, 100));
-  c.send(0, 1, 1, {}, 1);
-  c.superstep();
+  Runtime rt(c);
+  step_sending(rt, {{0, 1, 1, {}, 1}});
   EXPECT_EQ(c.inbox(1).size(), 1u);
-  c.superstep();
+  step_sending(rt, {});
   EXPECT_TRUE(c.inbox(1).empty());
 }
 
 TEST(ClusterTest, RoundChargingSingleLink) {
   Cluster c(small_config(2, 100));
+  Runtime rt(c);
   // 3 messages of (64+16) wire bits each on one link = 240 bits -> 3 rounds.
-  for (int i = 0; i < 3; ++i) c.send(0, 1, 0, {1});
-  EXPECT_EQ(c.superstep(), 3u);
+  EXPECT_EQ(step_sending(rt, {{0, 1, 0, {1}}, {0, 1, 0, {1}}, {0, 1, 0, {1}}}), 3u);
   EXPECT_EQ(c.stats().rounds, 3u);
 }
 
 TEST(ClusterTest, RoundsAreMaxOverLinks) {
   Cluster c(small_config(4, 100));
+  Runtime rt(c);
   // Link (0,1) gets 300 bits; every other link 80 -> rounds = 3.
-  c.send(0, 1, 0, {}, 284);  // +16 header = 300
-  c.send(2, 3, 0, {}, 64);
-  c.send(1, 2, 0, {}, 64);
-  EXPECT_EQ(c.superstep(), 3u);
+  EXPECT_EQ(step_sending(rt, {{0, 1, 0, {}, 284},  // +16 header = 300
+                              {2, 3, 0, {}, 64},
+                              {1, 2, 0, {}, 64}}),
+            3u);
 }
 
 TEST(ClusterTest, OppositeDirectionsAreIndependent) {
   Cluster c(small_config(2, 100));
-  c.send(0, 1, 0, {}, 84);  // 100 bits with header
-  c.send(1, 0, 0, {}, 84);
-  EXPECT_EQ(c.superstep(), 1u);  // full duplex: one round suffices
+  Runtime rt(c);
+  // 100 bits with header each way; full duplex: one round suffices.
+  EXPECT_EQ(step_sending(rt, {{0, 1, 0, {}, 84}, {1, 0, 0, {}, 84}}), 1u);
 }
 
 TEST(ClusterTest, SelfMessagesAreFree) {
   Cluster c(small_config(2, 8));
-  c.send(1, 1, 3, {42}, 1 << 20);
-  EXPECT_EQ(c.superstep(), 0u);
+  Runtime rt(c);
+  EXPECT_EQ(step_sending(rt, {{1, 1, 3, {42}, 1 << 20}}), 0u);
   EXPECT_EQ(c.inbox(1).size(), 1u);
   EXPECT_EQ(c.stats().local_messages, 1u);
   EXPECT_EQ(c.stats().messages, 0u);
@@ -148,16 +172,17 @@ TEST(ClusterTest, SelfMessagesAreFree) {
 
 TEST(ClusterTest, EmptySuperstepFree) {
   Cluster c(small_config(2, 8));
-  EXPECT_EQ(c.superstep(), 0u);
+  Runtime rt(c);
+  EXPECT_EQ(step_sending(rt, {}), 0u);
   EXPECT_EQ(c.stats().rounds, 0u);
   EXPECT_EQ(c.stats().supersteps, 0u);
 }
 
 TEST(ClusterTest, LedgerAccounting) {
   Cluster c(small_config(3, 1000));
-  c.send(0, 1, 0, {1, 2, 3});  // 3*64+16 = 208 wire bits
-  c.send(1, 2, 0, {}, 34);     // 50 wire bits
-  c.superstep();
+  Runtime rt(c);
+  step_sending(rt, {{0, 1, 0, {1, 2, 3}},  // 3*64+16 = 208 wire bits
+                    {1, 2, 0, {}, 34}});   // 50 wire bits
   EXPECT_EQ(c.stats().messages, 2u);
   EXPECT_EQ(c.stats().total_bits, 208 + 50u);
   EXPECT_EQ(c.stats().sent_bits_by_machine[0], 208u);
@@ -174,11 +199,11 @@ TEST(ClusterTest, ChargeRoundsAdds) {
 TEST(ClusterTest, CutTracking) {
   Cluster c(small_config(4, 1000));
   c.track_cut({0, 0, 1, 1});
-  c.send(0, 1, 0, {}, 84);  // same side, not counted
-  c.send(0, 2, 0, {}, 84);  // crossing: 100 wire bits
-  c.send(3, 1, 0, {}, 34);  // crossing: 50
-  c.send(3, 3, 0, {}, 84);  // self
-  c.superstep();
+  Runtime rt(c);
+  step_sending(rt, {{0, 1, 0, {}, 84},   // same side, not counted
+                    {0, 2, 0, {}, 84},   // crossing: 100 wire bits
+                    {3, 1, 0, {}, 34},   // crossing: 50
+                    {3, 3, 0, {}, 84}});  // self
   EXPECT_EQ(c.stats().cut_bits, 150u);
 }
 
@@ -220,8 +245,10 @@ TEST(DistributedGraphTest, MakeRejectsPartitionSizeMismatch) {
 }
 
 TEST(ClusterDeath, RejectsOutOfRangeMachine) {
-  Cluster c(small_config(2, 8));
-  EXPECT_DEATH(c.send(0, 5, 0, {}, 1), "");
+  OutboxShard shard;
+  shard.resize(2);
+  Outbox out(shard, 0, 2);
+  EXPECT_DEATH(out.send(5, 0, {}, 1), "");
 }
 
 TEST(DistributedGraphTest, HostsMatchPartition) {

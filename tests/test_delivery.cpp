@@ -1,6 +1,6 @@
-// The direct shard->inbox delivery plane: determinism under scheduling
-// skew, payload integrity through the per-inbox arenas, and the
-// staged-send fallback.
+// The shard->inbox delivery plane, the only way messages move:
+// determinism under scheduling skew, an independent message-by-message
+// ledger reference, and payload integrity through the per-inbox arenas.
 //
 // test_runtime.cpp proves every ported algorithm's ledger is
 // thread-invariant; this suite attacks the delivery plane itself with
@@ -8,7 +8,8 @@
 // skewed by deterministic pseudo-random busy-waits, and checks the
 // strongest observable contract: the full ClusterStats ledger AND the
 // per-inbox message sequence (source, tag, every payload word, in
-// delivered order) are bit-identical to the sequential threads=1 run.
+// delivered order) are bit-identical to the threads=1 run, and the ledger
+// equals the cost rule applied by hand to the logged traffic.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@ namespace kmm {
 namespace {
 
 constexpr MachineId kMachines = 8;
+constexpr std::uint64_t kStressSteps = 6;  // sending steps per stress run
 
 void expect_stats_identical(const ClusterStats& a, const ClusterStats& b, const char* what) {
   EXPECT_EQ(a.rounds, b.rounds) << what;
@@ -50,45 +52,67 @@ std::vector<std::pair<const char*, Graph>> stress_graphs() {
   return graphs;
 }
 
+/// One delivered message as its receiver saw it.
+struct Hop {
+  std::uint64_t superstep;  // index of the delivering step
+  MachineId src;
+  MachineId dst;
+  std::uint64_t wire_bits;
+};
+
 struct StressOutcome {
   ClusterStats stats;
   // Per machine: (src, tag, payload...) of every delivered message, in
   // delivered order — the strongest per-inbox observation available.
   std::vector<std::vector<std::uint64_t>> inbox_log;
+  std::vector<std::vector<Hop>> hops;         // per receiving machine
+  std::vector<std::uint64_t> sent_by_machine;  // Outbox::send calls per source
 };
 
 /// Flooding-shaped stress traffic: every machine pushes each hosted
 /// vertex's id toward its cross-machine neighbors' homes each step; every
 /// 17th vertex sends a 9-word payload so delivery exercises the spilled
-/// (arena) path, the rest send 3-word inline payloads. With `delays`, a
-/// per-(step, machine) PRF-derived busy-wait skews which handlers finish
-/// first — the message pattern is untouched, so any observable difference
-/// is a delivery-plane ordering bug.
+/// (arena) path, the rest send 3-word inline payloads, and every 5th vertex
+/// with a same-machine neighbor sends that machine a free local message.
+/// With `delays`, a per-(step, machine) PRF-derived busy-wait skews which
+/// handlers finish first — the message pattern is untouched, so any
+/// observable difference is a delivery-plane ordering bug.
 StressOutcome run_skewed_stress(const Graph& g, unsigned threads, bool delays) {
   Cluster cluster(ClusterConfig::for_graph(g.num_vertices(), kMachines));
   const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), kMachines, 99));
   Runtime rt(cluster, RuntimeConfig{.threads = threads});
   std::vector<std::vector<std::uint64_t>> log(kMachines);
+  std::vector<std::vector<Hop>> hops(kMachines);
+  std::vector<std::uint64_t> sent(kMachines, 0);
+  const auto receive = [&](std::uint64_t s, MachineId self, std::span<const Message> inbox) {
+    for (const auto& msg : inbox) {
+      log[self].push_back(msg.src);
+      log[self].push_back(msg.tag);
+      for (const std::uint64_t w : msg.payload()) log[self].push_back(w);
+      hops[self].push_back(Hop{s - 1, msg.src, self, msg.wire_bits()});
+    }
+  };
   const std::uint64_t label_bits = 2 * bits_for(g.num_vertices()) + 8;
-  constexpr std::size_t kSteps = 6;
-  for (std::uint64_t s = 0; s < kSteps; ++s) {
+  for (std::uint64_t s = 0; s < kStressSteps; ++s) {
     rt.step([&](MachineId self, std::span<const Message> inbox, Outbox& out) {
       if (delays) {
         const std::uint64_t spins = split3(1717, s, self) % 40000;
         volatile std::uint64_t sink = 0;
         for (std::uint64_t i = 0; i < spins; ++i) sink = sink + i;
       }
-      auto& mylog = log[self];
-      for (const auto& msg : inbox) {
-        mylog.push_back(msg.src);
-        mylog.push_back(msg.tag);
-        for (const std::uint64_t w : msg.payload()) mylog.push_back(w);
-      }
+      receive(s, self, inbox);
       std::uint64_t big[9];
       for (const Vertex v : dg.vertices_of(self)) {
         for (const auto& he : dg.neighbors(v)) {
           const MachineId dst = dg.home(he.to);
-          if (dst == self) continue;
+          if (dst == self) {
+            if (v % 5 == 0) {
+              out.send(self, v, {v, he.to}, label_bits);
+              ++sent[self];
+            }
+            continue;
+          }
+          ++sent[self];
           if (v % 17 == 0) {
             for (std::size_t w = 0; w < 9; ++w) {
               big[w] = static_cast<std::uint64_t>(v) * 100 + he.to + w + s;
@@ -103,13 +127,47 @@ StressOutcome run_skewed_stress(const Graph& g, unsigned threads, bool delays) {
   }
   // Drain step: the last superstep's deliveries must be logged too.
   rt.step([&](MachineId self, std::span<const Message> inbox, Outbox&) {
-    for (const auto& msg : inbox) {
-      log[self].push_back(msg.src);
-      log[self].push_back(msg.tag);
-      for (const std::uint64_t w : msg.payload()) log[self].push_back(w);
-    }
+    receive(kStressSteps, self, inbox);
   });
-  return StressOutcome{cluster.stats(), std::move(log)};
+  return StressOutcome{cluster.stats(), std::move(log), std::move(hops), std::move(sent)};
+}
+
+/// The k-machine cost rule applied message by message to logged traffic,
+/// independently of the Cluster: per superstep, sum wire bits per directed
+/// link and charge ceil(max link / B) rounds; self-messages are local and
+/// free; a superstep counts when it moved any message.
+ClusterStats reference_ledger(const std::vector<std::vector<Hop>>& hops_by_dst,
+                              std::uint64_t steps, std::uint64_t bandwidth) {
+  ClusterStats ref;
+  ref.sent_bits_by_machine.assign(kMachines, 0);
+  ref.received_bits_by_machine.assign(kMachines, 0);
+  for (std::uint64_t s = 0; s < steps; ++s) {
+    std::vector<std::uint64_t> link(static_cast<std::size_t>(kMachines) * kMachines, 0);
+    bool moved = false;
+    for (const auto& hops : hops_by_dst) {
+      for (const Hop& hop : hops) {
+        if (hop.superstep != s) continue;
+        moved = true;
+        if (hop.src == hop.dst) {
+          ++ref.local_messages;
+          continue;
+        }
+        ++ref.messages;
+        ref.total_bits += hop.wire_bits;
+        ref.sent_bits_by_machine[hop.src] += hop.wire_bits;
+        ref.received_bits_by_machine[hop.dst] += hop.wire_bits;
+        link[hop.src * kMachines + hop.dst] += hop.wire_bits;
+      }
+    }
+    if (!moved) continue;
+    const std::uint64_t max_link = *std::max_element(link.begin(), link.end());
+    ++ref.supersteps;
+    ref.rounds += (max_link + bandwidth - 1) / bandwidth;
+    ref.max_link_bits = std::max(ref.max_link_bits, max_link);
+    ref.last_superstep_link_bits = max_link;
+    if (max_link > 0) ref.superstep_link_max.add(static_cast<double>(max_link));
+  }
+  return ref;
 }
 
 TEST(DeliveryPlane, SkewedSchedulingKeepsLedgerAndInboxOrderIdentical) {
@@ -128,36 +186,32 @@ TEST(DeliveryPlane, SkewedSchedulingKeepsLedgerAndInboxOrderIdentical) {
   }
 }
 
-TEST(DeliveryPlane, StagedDirectSendsFallBackToMergePath) {
-  // Messages staged via Cluster::send() between steps force the runtime
-  // off the direct plane for that superstep; the observable contract —
-  // staged messages first, then shard messages in ascending source order —
-  // must match the sequential path exactly.
-  const auto run = [](unsigned threads) {
-    Cluster cluster(ClusterConfig{.k = 4, .bandwidth_bits = 64});
-    Runtime rt(cluster, RuntimeConfig{.threads = threads});
-    cluster.send(0, 2, /*tag=*/7, {111}, 8);
-    cluster.send(1, 2, /*tag=*/7, {222}, 8);
-    rt.step([](MachineId self, std::span<const Message>, Outbox& out) {
-      out.send(2, /*tag=*/9, {static_cast<std::uint64_t>(self)}, 8);
-    });
-    std::vector<std::uint64_t> seen;
-    for (const auto& msg : cluster.inbox(2)) {
-      seen.push_back(msg.src);
-      seen.push_back(msg.tag);
-      seen.push_back(msg.payload()[0]);
+TEST(DeliveryPlane, LedgerMatchesMessageByMessageReference) {
+  for (const auto& [name, g] : stress_graphs()) {
+    const std::uint64_t bandwidth =
+        ClusterConfig::for_graph(g.num_vertices(), kMachines).bandwidth_bits;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      const auto run = run_skewed_stress(g, threads, /*delays=*/threads > 1);
+      // Nothing sent went missing: every Outbox::send, self-addressed ones
+      // included, reached an inbox, and each inbox lists its senders in
+      // ascending source order.
+      std::vector<std::uint64_t> received_from(kMachines, 0);
+      for (const auto& hops : run.hops) {
+        for (std::size_t i = 0; i < hops.size(); ++i) {
+          ++received_from[hops[i].src];
+          if (i > 0 && hops[i - 1].superstep == hops[i].superstep) {
+            EXPECT_LE(hops[i - 1].src, hops[i].src) << name << " threads=" << threads;
+          }
+        }
+      }
+      EXPECT_EQ(received_from, run.sent_by_machine) << name << " threads=" << threads;
+      const ClusterStats ref = reference_ledger(run.hops, kStressSteps, bandwidth);
+      ASSERT_GT(ref.messages, 0u) << name;
+      ASSERT_GT(ref.local_messages, 0u) << name;
+      expect_stats_identical(run.stats, ref, name);
+      EXPECT_EQ(run.stats.last_superstep_link_bits, ref.last_superstep_link_bits) << name;
     }
-    return std::pair{std::move(seen), cluster.stats().total_bits};
-  };
-  const auto sequential = run(1);
-  const auto parallel = run(4);
-  EXPECT_EQ(parallel.first, sequential.first);
-  EXPECT_EQ(parallel.second, sequential.second);
-  // Machine 2's own send is self-addressed (local, free) but still lands in
-  // its inbox, between sources 1 and 3.
-  EXPECT_EQ(sequential.first,
-            (std::vector<std::uint64_t>{0, 7, 111, 1, 7, 222, 0, 9, 0, 1, 9, 1, 2, 9, 2, 3,
-                                        9, 3}));
+  }
 }
 
 TEST(DeliveryPlane, SpilledPayloadsStayValidForTheWholeInboxGeneration) {
@@ -192,9 +246,9 @@ TEST(DeliveryPlane, SpilledPayloadsStayValidForTheWholeInboxGeneration) {
 }
 
 TEST(DeliveryPlane, MixedDirectAndInlineStepsShareOneLedger) {
-  // Alternating StepMode::kInline (sequential staging + superstep()) and
-  // parallel (direct plane) supersteps must accumulate one coherent ledger,
-  // identical to the all-sequential run.
+  // Alternating StepMode::kInline (in-order handlers and delivery on the
+  // calling thread) and parallel supersteps must accumulate one coherent
+  // ledger, identical to the threads=1 run.
   const auto run = [](unsigned threads) {
     Cluster cluster(ClusterConfig{.k = 4, .bandwidth_bits = 64});
     Runtime rt(cluster, RuntimeConfig{.threads = threads});

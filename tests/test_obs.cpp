@@ -262,13 +262,13 @@ TEST(ObsPlane, TraceSpanCountsSequentialAndInline) {
   for (std::size_t s = 0; s < parallel_steps; ++s) ring_step(rt);
   for (std::size_t s = 0; s < inline_steps; ++s) ring_step(rt, StepMode::kInline);
 
-  // Sequential/inline path: 1 top-level span, k handler spans, 1 delivery
-  // span (the whole Cluster::superstep()), no reduce — per step.
+  // The one delivery sequence, run in order on this thread: 1 top-level
+  // span, k handler spans, k delivery task spans, 1 reduce span — per step.
   EXPECT_EQ(trace.spans(SpanKind::kSuperstep), parallel_steps);
   EXPECT_EQ(trace.spans(SpanKind::kInline), inline_steps);
   EXPECT_EQ(trace.spans(SpanKind::kHandler), (parallel_steps + inline_steps) * k);
-  EXPECT_EQ(trace.spans(SpanKind::kDeliver), parallel_steps + inline_steps);
-  EXPECT_EQ(trace.spans(SpanKind::kReduce), 0u);
+  EXPECT_EQ(trace.spans(SpanKind::kDeliver), (parallel_steps + inline_steps) * k);
+  EXPECT_EQ(trace.spans(SpanKind::kReduce), parallel_steps + inline_steps);
 }
 
 TEST(ObsPlane, TraceRingDropsOldestBeyondCapacity) {

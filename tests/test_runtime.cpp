@@ -1,7 +1,7 @@
 // The parallel superstep runtime: thread pool, MachineProgram execution,
 // and the central invariant that results AND the full cluster ledger are
-// bit-identical for every thread count (threads ∈ {1, 2, 8}) and equal to
-// the sequential path, on path / gnm / rmat inputs.
+// bit-identical for every thread count (threads ∈ {1, 2, 8}), on
+// path / gnm / rmat inputs.
 //
 // The RuntimeDeterminism suite covers every ported algorithm — Borůvka
 // connectivity/MST, flooding, referee, leader election, min-cut, two-edge

@@ -164,14 +164,14 @@ TEST(StrictOutput, StarCentersHomePaysTheBill) {
 TEST(LeaderElection, AllMachinesAgree) {
   for (const MachineId k : {MachineId{2}, MachineId{5}, MachineId{16}}) {
     Cluster cluster(ClusterConfig::for_graph(1024, k));
-    const auto a = elect_leader(cluster, 42);
+    const auto a = elect_leader(cluster, LeaderElectionConfig{.seed = 42});
     EXPECT_LT(a.leader, k);
     // O(1) rounds, k(k-1) messages.
     EXPECT_LE(a.stats.rounds, 4u);
     EXPECT_EQ(a.stats.messages, static_cast<std::uint64_t>(k) * (k - 1));
     // Deterministic given the seed.
     Cluster cluster2(ClusterConfig::for_graph(1024, k));
-    EXPECT_EQ(elect_leader(cluster2, 42).leader, a.leader);
+    EXPECT_EQ(elect_leader(cluster2, LeaderElectionConfig{.seed = 42}).leader, a.leader);
   }
 }
 
@@ -179,7 +179,7 @@ TEST(LeaderElection, DifferentSeedsMoveTheLeader) {
   std::set<MachineId> leaders;
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
     Cluster cluster(ClusterConfig::for_graph(64, 8));
-    leaders.insert(elect_leader(cluster, seed).leader);
+    leaders.insert(elect_leader(cluster, LeaderElectionConfig{.seed = seed}).leader);
   }
   EXPECT_GE(leaders.size(), 4u);  // the choice is genuinely random
 }

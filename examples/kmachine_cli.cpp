@@ -32,8 +32,9 @@
 //               --durable-dir DIR (durable checkpoint & restart plane: every
 //                 cadence checkpoint is also committed to DIR as a
 //                 checksummed resume frame; --algo flood only — the
-//                 checkpointable program. SIGKILL the process at any point
-//                 and relaunch with --resume to continue bit-identically.
+//                 checkpointable program, on the same engine and ledger as
+//                 a plain flood run. SIGKILL the process at any point and
+//                 relaunch with --resume to continue bit-identically.
 //                 With --serve, DIR/queries.log journals query lifecycles)
 //               --resume (restore the newest intact generation in
 //                 --durable-dir and continue; corrupt/torn/stale generations
@@ -298,11 +299,9 @@ void print_stats(const char* what, const RunStats& stats) {
 void print_fault_stats(const FaultPlane* plane) {
   if (plane == nullptr) return;
   const FaultStats s = plane->stats();
-  std::printf("faults: crashes=%llu restores=%llu restarts=%llu replayed=%llu "
-              "checkpoints=%llu\n",
+  std::printf("faults: crashes=%llu restores=%llu replayed=%llu checkpoints=%llu\n",
               static_cast<unsigned long long>(s.crashes),
               static_cast<unsigned long long>(s.restores),
-              static_cast<unsigned long long>(s.restarts),
               static_cast<unsigned long long>(s.replayed_steps),
               static_cast<unsigned long long>(s.checkpoints));
   std::printf("faults: drops=%llu dups=%llu reorders=%llu corruptions=%llu "
@@ -329,14 +328,13 @@ std::uint64_t durable_fingerprint(const Options& opt, std::size_t n, std::size_t
   return fp;
 }
 
-/// The --durable-dir flood path, shared by the materialized and
-/// stream-ingest backends: an empty-schedule FaultPlane tees every cadence
-/// checkpoint into a DurableStore; --resume restores the newest intact
-/// generation first. Exits nonzero only on durable-plane errors (corrupt
-/// directory with --resume, unwritable dir) — never on clean completion.
-std::optional<ResumableFloodResult> run_durable_flood(const Options& opt, Cluster& cluster,
-                                                      const DistributedGraph& dg,
-                                                      const ObsSink* obs, std::size_t m) {
+/// The --durable-dir flood run: an empty-schedule FaultPlane tees every
+/// cadence checkpoint into a DurableStore; --resume restores the newest
+/// intact generation first. Returns nullopt only on durable-plane errors
+/// (corrupt directory with --resume, unwritable dir).
+std::optional<FloodingResult> run_durable_flood(const Options& opt, Cluster& cluster,
+                                                const DistributedGraph& dg,
+                                                FloodingConfig fcfg, std::size_t m) {
   const std::uint64_t fp = durable_fingerprint(opt, dg.num_vertices(), m);
   std::string dir_error;
   if (!ensure_directory(opt.durable_dir, &dir_error)) {
@@ -371,21 +369,38 @@ std::optional<ResumableFloodResult> run_durable_flood(const Options& opt, Cluste
     plane.arm_resume(&recovered->frame);
   }
 
-  ResumableFloodConfig fcfg;
-  fcfg.threads = opt.threads;
-  fcfg.obs = obs;
   fcfg.fault = &plane;
-  const ResumableFloodResult res = resumable_flood_connectivity(cluster, dg, fcfg);
-  std::printf("components=%llu supersteps=%llu converged=%s\n",
-              static_cast<unsigned long long>(res.num_components),
-              static_cast<unsigned long long>(res.supersteps),
-              res.converged ? "yes" : "no");
-  print_stats("flood", res.stats);
+  FloodingResult res = flooding_connectivity(cluster, dg, fcfg);
   std::printf("durable: commits=%llu bytes=%llu resumes=%llu dir=%s\n",
               static_cast<unsigned long long>(store.stats().commits),
               static_cast<unsigned long long>(store.stats().bytes_written),
               static_cast<unsigned long long>(plane.stats().resumes),
               opt.durable_dir.c_str());
+  return res;
+}
+
+/// The flood path, shared by the materialized and stream-ingest backends:
+/// one engine and one report whether the run is plain, rides the
+/// --fault-profile plane (`fault`), or is durable — so a durable and a
+/// plain run of the same flags print the same components and ledger lines.
+/// Returns nullopt only on durable-plane errors.
+std::optional<FloodingResult> run_flood(const Options& opt, Cluster& cluster,
+                                        const DistributedGraph& dg, const ObsSink* obs,
+                                        FaultPlane* fault, std::size_t m) {
+  FloodingConfig fcfg;
+  fcfg.threads = opt.threads;
+  fcfg.obs = obs;
+  fcfg.fault = fault;
+  std::optional<FloodingResult> res = opt.durable_dir.empty()
+                                          ? flooding_connectivity(cluster, dg, fcfg)
+                                          : run_durable_flood(opt, cluster, dg, fcfg, m);
+  if (!res.has_value()) return res;
+  std::printf("components=%llu supersteps=%llu converged=%s\n",
+              static_cast<unsigned long long>(res->num_components),
+              static_cast<unsigned long long>(res->supersteps),
+              res->converged ? "yes" : "no");
+  print_stats("flood", res->stats);
+  print_fault_stats(fault);
   return res;
 }
 
@@ -479,19 +494,7 @@ int run_stream(const Options& opt) {
                 res.phases.size(), static_cast<unsigned long long>(res.sampler_retries));
     print_stats("mst", res.stats);
   } else if (opt.algo == "flood") {
-    if (!opt.durable_dir.empty()) {
-      const auto res = run_durable_flood(opt, cluster, dg, obs.sink(), m);
-      if (!res.has_value()) return 1;
-    } else {
-      FloodingConfig fcfg;
-      fcfg.threads = opt.threads;
-      fcfg.obs = obs.sink();
-      const auto res = flooding_connectivity(cluster, dg, fcfg);
-      std::printf("components=%llu supersteps=%llu\n",
-                  static_cast<unsigned long long>(res.num_components),
-                  static_cast<unsigned long long>(res.supersteps));
-      print_stats("flood", res.stats);
-    }
+    if (!run_flood(opt, cluster, dg, obs.sink(), nullptr, m).has_value()) return 1;
   } else {  // referee
     RefereeConfig rcfg;
     rcfg.threads = opt.threads;
@@ -727,8 +730,9 @@ int main(int argc, char** argv) {
                 resolve_threads(opt.threads, opt.k));
   }
 
-  // Fault plane: seeded schedule + recovery machinery for the algorithms
-  // that register recovery hooks (conn/mst via the Borůvka engine, flood).
+  // Fault plane: seeded schedule + recovery machinery for the recoverable
+  // algorithms (conn/mst via the Borůvka engine's state hooks, flood via
+  // checkpoint/replay).
   // Corruption profiles are meant to be *caught*: run them with --verify.
   std::optional<FaultSchedule> fault_schedule;
   std::optional<FaultPlane> fault_plane;
@@ -736,7 +740,7 @@ int main(int argc, char** argv) {
     if (opt.algo != "conn" && opt.algo != "mst" && opt.algo != "flood") {
       std::fprintf(stderr,
                    "error: --fault-profile supports --algo conn|mst|flood (the "
-                   "recovery-hooked algorithms), got '%s'\n",
+                   "crash-recoverable algorithms), got '%s'\n",
                    opt.algo.c_str());
       return 2;
     }
@@ -796,25 +800,11 @@ int main(int argc, char** argv) {
       return ok ? 0 : 1;
     }
   } else if (opt.algo == "flood") {
-    std::vector<Label> labels;
-    if (!opt.durable_dir.empty()) {
-      const std::size_t m = opt.m != 0 ? opt.m : 3 * opt.n;
-      const auto res = run_durable_flood(opt, cluster, dg, obs.sink(), m);
-      if (!res.has_value()) return 1;
-      labels = res->labels;
-    } else {
-      FloodingConfig fcfg;
-      fcfg.threads = opt.threads;
-      fcfg.obs = obs.sink();
-      fcfg.fault = fault_plane ? &*fault_plane : nullptr;
-      const auto res = flooding_connectivity(cluster, dg, fcfg);
-      std::printf("components=%llu supersteps=%llu\n",
-                  static_cast<unsigned long long>(res.num_components),
-                  static_cast<unsigned long long>(res.supersteps));
-      print_stats("flood", res.stats);
-      print_fault_stats(fault_plane ? &*fault_plane : nullptr);
-      labels = res.labels;
-    }
+    const std::size_t m = opt.m != 0 ? opt.m : 3 * opt.n;
+    const auto res =
+        run_flood(opt, cluster, dg, obs.sink(), fault_plane ? &*fault_plane : nullptr, m);
+    if (!res.has_value()) return 1;
+    const std::vector<Label>& labels = res->labels;
     if (opt.verify) {
       // Flooding's contract is exact: labels[v] == smallest vertex id in
       // v's component, so the referee compares raw labels (canonicalizing

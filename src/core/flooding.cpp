@@ -1,7 +1,6 @@
 #include "core/flooding.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "fault/fault_plane.hpp"
 #include "util/assert.hpp"
@@ -13,143 +12,167 @@ namespace {
 constexpr std::uint32_t kTagFlood = 1;
 constexpr std::uint32_t kTagCtrl = 2;
 
-/// Push the labels of `dirty` vertices through the machine-local subgraph
-/// to fixpoint. Only vertices homed on `machine` are read from the queue
-/// and only labels/changed cells of such vertices are written, so the
-/// per-machine handlers below may run concurrently on the shared vectors.
-void local_propagate(const DistributedGraph& dg, MachineId machine,
-                     std::vector<Label>& labels, std::vector<char>& changed,
-                     std::deque<Vertex>& queue) {
+/// The one-bit control steps are kInline (porting recipe rule 4); the
+/// exchange and the local fixpoints use the pool.
+StepMode step_mode(FloodProgram::Phase phase) {
+  return phase == FloodProgram::kGather || phase == FloodProgram::kBroadcast
+             ? StepMode::kInline
+             : StepMode::kParallel;
+}
+
+}  // namespace
+
+FloodProgram::FloodProgram(const DistributedGraph& dg, MachineId k)
+    : dg_(&dg),
+      k_(k),
+      label_bits_(bits_for(std::max<std::uint64_t>(dg.num_vertices(), 2))),
+      changed_(dg.num_vertices(), 1),
+      machines_(k) {
+  labels_.resize(dg.num_vertices());
+  for (Vertex v = 0; v < labels_.size(); ++v) labels_[v] = v;
+}
+
+/// Push the labels of queued vertices through the machine-local subgraph to
+/// fixpoint. Only vertices homed on `self` are queued and only their
+/// labels/changed cells are written, so handlers may run concurrently.
+void FloodProgram::local_propagate(MachineId self) {
+  auto& queue = machines_[self].queue;
   while (!queue.empty()) {
     const Vertex v = queue.front();
     queue.pop_front();
-    for (const auto& he : dg.neighbors(v)) {
-      if (dg.home(he.to) != machine) continue;
-      if (labels[v] < labels[he.to]) {
-        labels[he.to] = labels[v];
-        changed[he.to] = 1;
+    for (const auto& he : dg_->neighbors(v)) {
+      if (dg_->home(he.to) != self) continue;
+      if (labels_[v] < labels_[he.to]) {
+        labels_[he.to] = labels_[v];
+        changed_[he.to] = 1;
         queue.push_back(he.to);
       }
     }
   }
 }
 
-}  // namespace
+/// Boundary exchange: send the minimum candidate label per remote target
+/// among the hosted vertices that changed.
+void FloodProgram::exchange(MachineId self, Outbox& out) {
+  Machine& me = machines_[self];
+  auto& cand = me.boundary;
+  cand.clear();
+  for (const Vertex v : dg_->vertices_of(self)) {
+    if (!changed_[v]) continue;
+    for (const auto& he : dg_->neighbors(v)) {
+      if (dg_->home(he.to) == self) continue;
+      cand.emplace_back(he.to, labels_[v]);
+    }
+  }
+  for (const Vertex v : dg_->vertices_of(self)) changed_[v] = 0;
+  // Ascending (target, label): the first entry per target is its minimum
+  // candidate, and the send order below is deterministic.
+  std::sort(cand.begin(), cand.end());
+  cand.erase(std::unique(cand.begin(), cand.end(),
+                         [](const auto& a, const auto& b) { return a.first == b.first; }),
+             cand.end());
+  me.sent = !cand.empty();
+  for (const auto& [target, label] : cand) {
+    out.send(dg_->home(target), kTagFlood, {target, label}, 2 * label_bits_);
+  }
+  ++me.iterations;
+}
+
+void FloodProgram::on_superstep(MachineId self, std::span<const Message> inbox,
+                                Outbox& out) {
+  Machine& me = machines_[self];
+  switch (me.phase) {
+    case kInit:
+      // Initial machine-local fixpoint before any exchange; nothing is sent,
+      // so this superstep is free.
+      me.queue.assign(dg_->vertices_of(self).begin(), dg_->vertices_of(self).end());
+      local_propagate(self);
+      me.phase = kExchange;
+      break;
+    case kExchange:
+      exchange(self, out);
+      me.phase = kApply;
+      break;
+    case kApply:
+      // Apply the labels that just arrived and re-run the local fixpoint.
+      // Nothing is sent, so this superstep is free too.
+      for (const Message& msg : inbox) {
+        KMM_DCHECK(msg.tag == kTagFlood && msg.payload_words() >= 2);
+        const auto v = static_cast<Vertex>(msg.payload()[0]);
+        KMM_CHECK_MSG(dg_->home(v) == self, "flood label for a vertex homed elsewhere");
+        const Label label = msg.payload()[1];
+        if (label < labels_[v]) {
+          labels_[v] = label;
+          changed_[v] = 1;
+          me.queue.push_back(v);
+        }
+      }
+      local_propagate(self);
+      me.phase = kGather;
+      break;
+    case kGather:
+      // OR-reduce: machines that sent this iteration report to machine 0.
+      if (me.sent) out.send(0, kTagCtrl, {}, 1);
+      me.phase = kBroadcast;
+      break;
+    case kBroadcast:
+      // Machine 0 broadcasts the OR; a quiet iteration means no changed bit
+      // is set anywhere, which is the global fixpoint.
+      if (self == 0) {
+        me.active = !inbox.empty() || me.sent;
+        for (MachineId j = 1; j < k_; ++j) out.send(j, kTagCtrl, {me.active ? 1ULL : 0ULL}, 1);
+      }
+      me.phase = kExchange;
+      break;
+  }
+}
+
+void FloodProgram::snapshot(MachineId m, WordWriter& out) {
+  const Machine& me = machines_[m];
+  out.u64(me.phase).u64(me.iterations).u64(me.sent ? 1 : 0).u64(me.active ? 1 : 0);
+  for (const Vertex v : dg_->vertices_of(m)) {
+    out.u64(labels_[v]);
+    out.u64(static_cast<std::uint64_t>(changed_[v]));
+  }
+}
+
+void FloodProgram::restore(MachineId m, WordReader& in) {
+  Machine& me = machines_[m];
+  me.phase = static_cast<Phase>(in.u64());
+  me.iterations = in.u64();
+  me.sent = in.u64() != 0;
+  me.active = in.u64() != 0;
+  for (const Vertex v : dg_->vertices_of(m)) {
+    labels_[v] = in.u64();
+    changed_[v] = static_cast<char>(in.u64());
+  }
+  me.queue.clear();
+  me.boundary.clear();
+}
 
 FloodingResult flooding_connectivity(Cluster& cluster, const DistributedGraph& dg,
                                      const FloodingConfig& config) {
   const StatsScope scope(cluster);
   const std::size_t n = dg.num_vertices();
-  const MachineId k = cluster.k();
-  const std::uint64_t label_bits = bits_for(std::max<std::uint64_t>(n, 2));
-  const std::uint64_t max_supersteps =
+  const std::uint64_t max_iterations =
       config.max_supersteps != 0 ? config.max_supersteps : n + 1;
+  FloodProgram program(dg, cluster.k());
   Runtime rt(cluster, RuntimeConfig{config.threads, config.obs, config.fault, config.cancel,
                                     config.pool});
-
-  FloodingResult result;
-  result.labels.resize(n);
-  for (Vertex v = 0; v < n; ++v) result.labels[v] = v;
-
-  // Shared state, machine-indexed by construction: labels[v] and changed[v]
-  // are only touched by the handler of dg.home(v); queue[i], boundary[i]
-  // and bit[i] only by handler i. That partition is what makes the
-  // handlers race-free without locks (and is asserted on the receive path).
-  std::vector<char> changed(n, 1);
-  std::vector<std::deque<Vertex>> queue(k);
-  // Reusable boundary-candidate buffers (one per machine): (remote target,
-  // candidate label) pairs, sorted + deduplicated to the minimum label per
-  // target each iteration. Replaces a per-superstep std::map — no per-node
-  // allocation on the hot path, and the deterministic ascending-target send
-  // order is explicit in the sort.
-  std::vector<std::vector<std::pair<Vertex, Label>>> boundary(k);
-  std::vector<char> bit(k, 0);  // bit[i] = machine i sent this iteration
-
-  // Fault-plane state hooks (porting recipe rule 8b): machine m's complete
-  // cross-step state is its sent-bit plus the label/changed cells of its
-  // hosted vertices — queue[m] and boundary[m] are drained/cleared at step
-  // boundaries and need no serialization.
-  const StateHookScope fault_scope(
-      config.fault,
-      [&](MachineId m, WordWriter& w) {
-        w.u64(static_cast<std::uint64_t>(bit[m]));
-        for (const Vertex v : dg.vertices_of(m)) {
-          w.u64(result.labels[v]);
-          w.u64(static_cast<std::uint64_t>(changed[v]));
-        }
-      },
-      [&](MachineId m, WordReader& r) {
-        bit[m] = static_cast<char>(r.u64());
-        for (const Vertex v : dg.vertices_of(m)) {
-          result.labels[v] = r.u64();
-          changed[v] = static_cast<char>(r.u64());
-        }
-        queue[m].clear();
-        boundary[m].clear();
-      });
-
-  // Initial machine-local fixpoint before any exchange. No handler sends,
-  // so this superstep is free — pure parallel local computation.
-  rt.step([&](MachineId i, std::span<const Message>, Outbox&) {
-    queue[i].assign(dg.vertices_of(i).begin(), dg.vertices_of(i).end());
-    local_propagate(dg, i, result.labels, changed, queue[i]);
-  });
-
-  for (std::uint64_t step = 0;; ++step) {
-    KMM_CHECK_MSG(step <= max_supersteps, "flooding failed to converge");
-    // Boundary exchange: per machine, send the best candidate label per
-    // remote target vertex among changed local vertices.
-    rt.step([&](MachineId i, std::span<const Message>, Outbox& out) {
-      auto& cand = boundary[i];
-      cand.clear();
-      for (const Vertex v : dg.vertices_of(i)) {
-        if (!changed[v]) continue;
-        for (const auto& he : dg.neighbors(v)) {
-          if (dg.home(he.to) == i) continue;
-          cand.emplace_back(he.to, result.labels[v]);
-        }
-      }
-      for (const Vertex v : dg.vertices_of(i)) changed[v] = 0;
-      // Ascending (target, label): first entry per target is its minimum
-      // candidate, and the send order below is deterministic.
-      std::sort(cand.begin(), cand.end());
-      cand.erase(std::unique(cand.begin(), cand.end(),
-                             [](const auto& a, const auto& b) {
-                               return a.first == b.first;
-                             }),
-                 cand.end());
-      bit[i] = cand.empty() ? 0 : 1;
-      for (const auto& [target, label] : cand) {
-        out.send(dg.home(target), kTagFlood, {target, label}, 2 * label_bits);
-      }
-    });
-    // Apply the labels that just arrived and re-run the local fixpoint.
-    // Nothing is sent, so this superstep is free — it must run before the
-    // or-reduce below, whose own supersteps clear every inbox.
-    rt.step([&](MachineId i, std::span<const Message> inbox, Outbox&) {
-      auto& q = queue[i];
-      for (const auto& msg : inbox) {
-        if (msg.tag != kTagFlood) continue;
-        KMM_DCHECK(msg.payload_words() >= 2);
-        const auto v = static_cast<Vertex>(msg.payload()[0]);
-        KMM_CHECK_MSG(dg.home(v) == i, "flood label for a vertex homed elsewhere");
-        const Label label = msg.payload()[1];
-        if (label < result.labels[v]) {
-          result.labels[v] = label;
-          changed[v] = 1;
-          q.push_back(v);
-        }
-      }
-      local_propagate(dg, i, result.labels, changed, q);
-    });
-    result.supersteps = step + 1;
-    if (!or_reduce_broadcast(rt, bit, kTagCtrl)) {
-      result.converged = true;
-      break;
-    }
+  // One step per phase until the broadcast reports a quiet iteration, or
+  // the cap is reached at an iteration boundary (converged = false). A
+  // resume frame armed on the plane is restored inside the first step, so
+  // that step's mode may not match its phase; the modes are
+  // observationally identical.
+  while (!program.done() &&
+         !(program.phase() == FloodProgram::kExchange && program.iterations() >= max_iterations)) {
+    (void)rt.step(program, step_mode(program.phase()));
   }
 
-  // Component count for convenience (instrumentation over final labels).
+  FloodingResult result;
+  result.converged = program.done();
+  result.supersteps = program.iterations();
+  result.labels = program.take_labels();
   std::vector<char> seen(n, 0);
   for (const Label label : result.labels) {
     if (!seen[label]) {

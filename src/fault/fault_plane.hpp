@@ -9,21 +9,19 @@
 //
 //  * Machine crashes. At the scheduled superstep the victim loses its
 //    in-memory state and current inbox. Recovery depends on the program:
-//      - checkpointable MachinePrograms (snapshot/restore overrides) are
-//        checkpointed every C supersteps into a CheckpointStore; the victim
-//        is rolled back to the last checkpoint and its logged inboxes are
-//        replayed (sends during replay are discarded — receivers already
-//        processed them; the per-link sequence numbers of the transit
-//        protocol below are exactly the duplicate-suppression a real
-//        retransmit needs);
-//      - lambda-driven engines (flooding, Borůvka) register state hooks
+//      - checkpointable MachinePrograms (snapshot/restore overrides, e.g.
+//        flooding's FloodProgram) are checkpointed every C supersteps into
+//        a CheckpointStore; the victim is rolled back to the last checkpoint
+//        and its logged inboxes are replayed (sends during replay are
+//        discarded — receivers already processed them; the per-link
+//        sequence numbers of the transit protocol below are exactly the
+//        duplicate-suppression a real retransmit needs);
+//      - the lambda-driven Borůvka engine registers state hooks
 //        (StateHookScope): the plane snapshots every machine at the crash
 //        instant and rebuilds the victim purely from the serialized words —
 //        an honest restore-from-words round-trip validating that the hooks
-//        capture the complete state;
-//      - programs with neither must support MachineProgram::reset(): the
-//        Runtime::run loop restarts the phase from superstep 0 (rule 8 in
-//        runtime.hpp). Anything else aborts with a pointer to that rule.
+//        capture the complete state.
+//    Anything else aborts with a pointer to rule 8 in runtime.hpp.
 //    The victim's lost inbox is rebuilt by retransmission from the senders'
 //    outbox logs: rounds are charged for the stall (R) plus the per-link
 //    retransmit cost, ceil(bits/bandwidth) maxed over inbound links — the
@@ -104,7 +102,6 @@ struct FaultStats {
   std::uint64_t crashes = 0;          // machines crashed (watchdog trips included)
   std::uint64_t watchdog_trips = 0;   // crashes that were scheduled hangs
   std::uint64_t restores = 0;         // checkpoint/hook restores performed
-  std::uint64_t restarts = 0;         // phase restarts (non-checkpointable fallback)
   std::uint64_t replayed_steps = 0;   // logged supersteps replayed after rollback
   std::uint64_t checkpoints = 0;      // checkpoint generations taken
   std::uint64_t checkpoint_words = 0; // total words serialized into checkpoints
@@ -167,7 +164,7 @@ class FaultPlane {
   void arm_resume(const DurableFrame* frame) noexcept { pending_resume_ = frame; }
 
   // ------------------------------------------------ Runtime integration
-  // (driver thread only; called by Runtime::step / Runtime::run)
+  // (driver thread only; called by Runtime::step)
 
   /// Start-of-step processing: periodic checkpoint, crash recovery (restore
   /// + replay + inbox retransmission + stall charging), inbox logging.
@@ -190,13 +187,6 @@ class FaultPlane {
     step_events_ = 0;
     return e;
   }
-
-  /// Restart fallback, called by Runtime::run *before* each step: when a
-  /// crash is scheduled at the current ordinal and the program is neither
-  /// checkpointable nor hook-covered, reset() the program, drop every
-  /// inbox, and charge the stall. Returns the rounds charged (0 = no
-  /// restart). The consumed events will not fire again in begin_step.
-  std::uint64_t maybe_restart(Cluster& cluster, MachineProgram& program);
 
   void note_deadline_overrun() noexcept {
     deadline_overruns_.fetch_add(1, std::memory_order_relaxed);
@@ -262,11 +252,10 @@ class FaultPlane {
   std::vector<TransitMsg> transit_scratch_;    // per-bucket transit emulation
   std::vector<std::uint64_t> corrupt_words_;   // payload rewrite scratch
   std::vector<std::uint64_t> link_seq_;        // k*k cumulative sequence numbers
-  std::vector<std::uint64_t> consumed_restarts_;  // ordinals handled by restart
 };
 
 /// RAII registration of hook-mode state serializers on a plane (the pattern
-/// flooding_connectivity and the Borůvka engine use): hooks are cleared on
+/// the Borůvka engine uses): hooks are cleared on
 /// scope exit so a plane outliving the run cannot call into dead state.
 class StateHookScope {
  public:

@@ -26,8 +26,8 @@
 //   fault      — opt-in fault injection & recovery: a seeded, bit-
 //                reproducible FaultSchedule (machine crashes, lossy links,
 //                payload corruption) plus the FaultPlane recovery machinery
-//                (superstep checkpoint/replay, retransmit-from-outbox,
-//                restart fallback), attached through RuntimeConfig::fault /
+//                (superstep checkpoint/replay, state hooks,
+//                retransmit-from-outbox), attached through RuntimeConfig::fault /
 //                the core configs' fault field (off by default; detached is
 //                bit-identical)
 //   durable    — the durable checkpoint & restart plane: checksummed
@@ -57,7 +57,6 @@
 #include "core/boruvka.hpp"
 #include "core/connectivity.hpp"
 #include "core/drr.hpp"
-#include "core/flood_program.hpp"
 #include "core/flooding.hpp"
 #include "core/label_registry.hpp"
 #include "core/leader_election.hpp"

@@ -166,12 +166,6 @@ std::uint64_t Runtime::run(MachineProgram& program, std::uint64_t max_supersteps
   std::uint64_t rounds = 0;
   for (std::uint64_t s = 0; s < max_supersteps; ++s) {
     if (program.done()) return rounds;
-    if (fault_ != nullptr) {
-      // Restart-fallback recovery for programs with neither checkpoints nor
-      // state hooks: a crash resets the whole program to superstep 0
-      // (porting recipe rule 8c). No-op for recoverable programs.
-      rounds += fault_->maybe_restart(*cluster_, program);
-    }
     rounds += step(program);
   }
   KMM_CHECK_MSG(program.done(), "program exhausted its superstep budget");

@@ -41,8 +41,9 @@
 //     deliver everything;
 //     for (MachineId i = 0; i < k; ++i) { ...read inbox(i)...; }
 //
-// The mechanical transformation (flooding_connectivity is the worked
-// example) is:
+// The mechanical transformation (the Borůvka engine's protocol segments
+// are the worked lambda example; flooding_connectivity folds the same
+// steps into one MachineProgram with a phase cursor) is:
 //
 //   1. Each "for each machine: compute + send" loop body becomes one
 //      SuperstepFn handler: rt.step([&](MachineId i, inbox, out) {...}).
@@ -86,7 +87,7 @@
 //      reallocate/wrap). Analytic Cluster::charge_rounds() between steps is
 //      fine — the timeline folds the charge into the next recorded row.
 //   8. To survive the fault plane (RuntimeConfig::fault, src/fault/), a
-//      program must be recoverable in one of three ways, preferred first:
+//      program must be recoverable in one of two ways, preferred first:
 //      (a) a persistent MachineProgram overrides checkpointable() -> true
 //          plus snapshot(m, WordWriter&)/restore(m, WordReader&) such that
 //          restore rebuilds machine m's state *exactly* from the words
@@ -94,16 +95,14 @@
 //          checkpoints every C steps and replays crashed machines through
 //          their logged inboxes; serialize everything a handler reads
 //          across steps, and nothing that is rebuilt within one step
-//          (scratch buffers, per-step accumulators);
+//          (scratch buffers, per-step accumulators). A multi-step protocol
+//          becomes one such program by carrying a phase cursor in its
+//          per-machine state (FloodProgram in core/flooding.hpp);
 //      (b) lambda-driven engines register FaultPlane state hooks for the
-//          run (StateHookScope, see flooding_connectivity) with the same
-//          snapshot/restore contract per machine;
-//      (c) programs with neither implement reset() -> true (drop all state,
-//          restart the phase from its first superstep) and are driven by
-//          Runtime::run — the restart fallback; correct but pays the whole
-//          phase again per crash.
-//      A crash injected into a program that offers none of the three aborts
-//      with a pointer to this rule. Monotone one-way shared flags (e.g. the
+//          run through the plane's RAII hook scope (the Borůvka engine does)
+//          with the same snapshot/restore contract per machine.
+//      A crash injected into a program that offers neither aborts with a
+//      pointer to this rule. Monotone one-way shared flags (e.g. the
 //      Borůvka engine's finished_ bits) may be treated as replicated stable
 //      storage and left out of snapshots; anything a machine could observe
 //      at two different values across a rollback must be serialized.
@@ -117,8 +116,9 @@
 //      (a) every resource a run acquires must be released by unwinding —
 //          keep engine state (registries, sketch pools, arenas, scratch) in
 //          RAII members of a stack-local engine/driver and register
-//          cross-object attachments through scopes (StateHookScope is the
-//          model); never leak a raw registration that outlives the throw;
+//          cross-object attachments through scopes (the fault plane's hook
+//          scope is the model); never leak a raw registration that
+//          outlives the throw;
 //      (b) handlers must NOT contain their own blocking or cancellation
 //          logic — a handler span is pure local compute (rule 7) and is
 //          never interrupted mid-step; cancellation granularity is exactly
@@ -143,8 +143,11 @@
 //      structured kStateVersionMismatch errors instead of misdecoding a
 //      stale generation. Only rule-8(a) programs are durably resumable:
 //      hook-mode engines (8b) can survive in-process crashes but their
-//      driver loop's control position dies with the process, and reset()
-//      programs (8c) have nothing to resume. Durable resume additionally
+//      driver loop's control position dies with the process. The worked
+//      example is flooding_connectivity: FloodProgram keeps its phase
+//      cursor in the snapshot, so the driver loop re-derives its position
+//      (and each step's StepMode) from program state alone, and a durable
+//      run is the plain run on the same ledger. Durable resume additionally
 //      relies on rules 1-6: the frame captures (state, inbox, ledger,
 //      ordinal) at a superstep boundary, and bit-identical continuation
 //      holds only because re-execution from that boundary is

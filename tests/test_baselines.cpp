@@ -40,6 +40,20 @@ TEST(Flooding, SuperstepsTrackDiameterNotN) {
   EXPECT_LE(result.supersteps, 402u);
 }
 
+TEST(Flooding, IterationCapReturnsUnconvergedInsteadOfAborting) {
+  // max_supersteps caps boundary-exchange iterations; a 64-path split over
+  // 4 machines needs more than one, so the run stops unconverged.
+  const Graph g = gen::path(64);
+  Cluster cluster(ClusterConfig::for_graph(64, 4));
+  const DistributedGraph dg(g, VertexPartition::random(64, 4, 3));
+  FloodingConfig cfg;
+  cfg.max_supersteps = 1;
+  const auto result = flooding_connectivity(cluster, dg, cfg);
+  EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.supersteps, 1u);
+  EXPECT_EQ(result.labels.size(), 64u);
+}
+
 TEST(Flooding, EmptyGraph) {
   const Graph g(50, {});
   Cluster cluster(ClusterConfig::for_graph(50, 4));

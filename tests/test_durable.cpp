@@ -253,16 +253,41 @@ TEST(DurablePlane, FloodConnectivityResumesBitIdentically) {
   const MachineId k = 8;
   const auto ref_labels = ref::component_labels(g);
 
-  // Uninterrupted reference run.
+  // Uninterrupted reference run, no plane at all.
   Cluster clean_cluster(ClusterConfig::for_graph(n, k));
   const DistributedGraph dg0(g, VertexPartition::random(n, k, 7));
-  const ResumableFloodResult clean = resumable_flood_connectivity(clean_cluster, dg0, {});
+  const FloodingResult clean = flooding_connectivity(clean_cluster, dg0, {});
   ASSERT_TRUE(clean.converged);
   ASSERT_EQ(clean.labels.size(), ref_labels.size());
   for (std::size_t v = 0; v < n; ++v) {
     ASSERT_EQ(clean.labels[v], ref_labels[v]) << "v=" << v;
   }
   const auto clean_ledger = ledger_words(clean_cluster.stats());
+  // The kill point, in boundary-exchange iterations: the first lifetime
+  // must end unconverged.
+  constexpr std::uint64_t kKillAfter = 2;
+  ASSERT_GT(clean.supersteps, kKillAfter);
+
+  {
+    // An uninterrupted run on the durable plane is the same engine on the
+    // same ledger: committing frames costs no bits.
+    const std::string dir = temp_dir("flood_gold");
+    DurableStore store({dir, false, 3, 0});
+    const FaultSchedule quiet(1);
+    FaultPlaneConfig pcfg;
+    pcfg.checkpoint_every = 2;
+    FaultPlane plane(quiet, pcfg);
+    plane.set_durable_store(&store);
+    Cluster cluster(ClusterConfig::for_graph(n, k));
+    FloodingConfig cfg;
+    cfg.fault = &plane;
+    const FloodingResult gold = flooding_connectivity(cluster, dg0, cfg);
+    EXPECT_TRUE(gold.converged);
+    EXPECT_EQ(gold.labels, clean.labels);
+    EXPECT_EQ(gold.supersteps, clean.supersteps);
+    EXPECT_GT(plane.stats().durable_commits, 0u);
+    EXPECT_EQ(ledger_words(cluster.stats()), clean_ledger);
+  }
 
   for (const unsigned threads : {1u, 2u, 8u}) {
     const std::string dir = temp_dir("flood");
@@ -276,11 +301,11 @@ TEST(DurablePlane, FloodConnectivityResumesBitIdentically) {
       FaultPlane plane(quiet, pcfg);
       plane.set_durable_store(&store);
       Cluster cluster(ClusterConfig::for_graph(n, k));
-      ResumableFloodConfig cfg;
-      cfg.max_supersteps = 5;  // killed mid-computation
+      FloodingConfig cfg;
+      cfg.max_supersteps = kKillAfter;  // killed mid-computation
       cfg.threads = threads;
       cfg.fault = &plane;
-      const ResumableFloodResult dead = resumable_flood_connectivity(cluster, dg, cfg);
+      const FloodingResult dead = flooding_connectivity(cluster, dg, cfg);
       ASSERT_FALSE(dead.converged);
       EXPECT_GT(plane.stats().durable_commits, 0u);
     }
@@ -297,10 +322,10 @@ TEST(DurablePlane, FloodConnectivityResumesBitIdentically) {
     plane.set_durable_store(&store);
     plane.arm_resume(&rec.value().frame);
     Cluster cluster(ClusterConfig::for_graph(n, k));
-    ResumableFloodConfig cfg;
+    FloodingConfig cfg;
     cfg.threads = threads;
     cfg.fault = &plane;
-    const ResumableFloodResult res = resumable_flood_connectivity(cluster, dg, cfg);
+    const FloodingResult res = flooding_connectivity(cluster, dg, cfg);
 
     EXPECT_TRUE(res.converged) << "threads=" << threads;
     EXPECT_EQ(res.labels, clean.labels);

@@ -31,9 +31,9 @@
 //               --checkpoint-every C (checkpoint cadence for crash recovery)
 //               --durable-dir DIR (durable checkpoint & restart plane: every
 //                 cadence checkpoint is also committed to DIR as a
-//                 checksummed resume frame; --algo flood only — the
-//                 checkpointable program, on the same engine and ledger as
-//                 a plain flood run. SIGKILL the process at any point and
+//                 checksummed resume frame; --algo conn|mst|flood — the
+//                 checkpointable programs, on the same engine and ledger as
+//                 a plain run. SIGKILL the process at any point and
 //                 relaunch with --resume to continue bit-identically.
 //                 With --serve, DIR/queries.log journals query lifecycles)
 //               --resume (restore the newest intact generation in
@@ -220,10 +220,10 @@ Options parse(int argc, char** argv) {
     std::exit(2);
   }
   if (!opt.durable_dir.empty() && !opt.serve) {
-    if (opt.algo != "flood") {
+    if (opt.algo != "conn" && opt.algo != "mst" && opt.algo != "flood") {
       std::fprintf(stderr,
-                   "error: --durable-dir supports --algo flood (the checkpointable "
-                   "resumable program; rule 10 in runtime.hpp), got '%s'\n",
+                   "error: --durable-dir supports --algo conn|mst|flood (the "
+                   "checkpointable resumable programs; rule 10 in runtime.hpp), got '%s'\n",
                    opt.algo.c_str());
       std::exit(2);
     }
@@ -314,9 +314,11 @@ void print_fault_stats(const FaultPlane* plane) {
               static_cast<unsigned long long>(s.overhead_rounds));
 }
 
-/// Identity of (graph, cluster shape, seed) stamped into every durable
-/// frame: a --resume against a directory written under different flags is
-/// rejected as kFingerprintMismatch instead of restoring alien state.
+/// Identity of (algorithm, engine options, graph, cluster shape, seed)
+/// stamped into every durable frame: a --resume against a directory written
+/// under different flags is rejected as kFingerprintMismatch instead of
+/// restoring alien state. conn and mst share one engine and one state
+/// layout, so only the algorithm in the fingerprint tells their frames apart.
 std::uint64_t durable_fingerprint(const Options& opt, std::size_t n, std::size_t m) {
   std::uint64_t fp = split(0x6475'7261'626cULL, n);
   fp = split(fp, m);
@@ -324,18 +326,28 @@ std::uint64_t durable_fingerprint(const Options& opt, std::size_t n, std::size_t
   fp = split(fp, opt.seed);
   fp = split(fp, opt.bandwidth);
   fp = split(fp, opt.stream_ingest ? 1 : 0);
-  for (const char c : opt.graph) fp = split(fp, static_cast<unsigned char>(c));
+  fp = split(fp, opt.coordinator ? 1 : 0);
+  fp = split(fp, opt.coinflip ? 1 : 0);
+  for (const std::string* s : {&opt.algo, &opt.graph}) {
+    fp = split(fp, s->size());
+    for (const char c : *s) fp = split(fp, static_cast<unsigned char>(c));
+  }
   return fp;
 }
 
-/// The --durable-dir flood run: an empty-schedule FaultPlane tees every
-/// cadence checkpoint into a DurableStore; --resume restores the newest
-/// intact generation first. Returns nullopt only on durable-plane errors
-/// (corrupt directory with --resume, unwritable dir).
-std::optional<FloodingResult> run_durable_flood(const Options& opt, Cluster& cluster,
-                                                const DistributedGraph& dg,
-                                                FloodingConfig fcfg, std::size_t m) {
-  const std::uint64_t fp = durable_fingerprint(opt, dg.num_vertices(), m);
+/// One path for every resumable algorithm. Without --durable-dir it runs
+/// `solve(fault)` — on the --fault-profile plane or none. With it, an
+/// empty-schedule FaultPlane tees every cadence checkpoint into a
+/// DurableStore, --resume restores the newest intact generation first, and
+/// `solve` runs on that plane: the same engine and ledger as a plain run.
+/// Returns nullopt only on durable-plane errors (corrupt directory with
+/// --resume, unwritable dir).
+template <typename Solve>
+auto run_durable(const Options& opt, std::uint64_t state_version, std::size_t n,
+                 std::size_t m, FaultPlane* fault, Solve solve)
+    -> std::optional<decltype(solve(fault))> {
+  if (opt.durable_dir.empty()) return solve(fault);
+  const std::uint64_t fp = durable_fingerprint(opt, n, m);
   std::string dir_error;
   if (!ensure_directory(opt.durable_dir, &dir_error)) {
     std::fprintf(stderr, "error: --durable-dir: %s\n", dir_error.c_str());
@@ -350,8 +362,7 @@ std::optional<FloodingResult> run_durable_flood(const Options& opt, Cluster& clu
 
   std::optional<RecoveryManager::RecoveredState> recovered;
   if (opt.resume) {
-    auto rec = RecoveryManager::recover(opt.durable_dir,
-                                        {FloodProgram::kStateVersion, fp, opt.k});
+    auto rec = RecoveryManager::recover(opt.durable_dir, {state_version, fp, opt.k});
     if (!rec.ok()) {
       std::fprintf(stderr, "error: --resume: %s: %s\n",
                    durable_error_name(rec.error().code), rec.error().message.c_str());
@@ -369,8 +380,7 @@ std::optional<FloodingResult> run_durable_flood(const Options& opt, Cluster& clu
     plane.arm_resume(&recovered->frame);
   }
 
-  fcfg.fault = &plane;
-  FloodingResult res = flooding_connectivity(cluster, dg, fcfg);
+  auto res = solve(&plane);
   std::printf("durable: commits=%llu bytes=%llu resumes=%llu dir=%s\n",
               static_cast<unsigned long long>(store.stats().commits),
               static_cast<unsigned long long>(store.stats().bytes_written),
@@ -390,16 +400,53 @@ std::optional<FloodingResult> run_flood(const Options& opt, Cluster& cluster,
   FloodingConfig fcfg;
   fcfg.threads = opt.threads;
   fcfg.obs = obs;
-  fcfg.fault = fault;
-  std::optional<FloodingResult> res = opt.durable_dir.empty()
-                                          ? flooding_connectivity(cluster, dg, fcfg)
-                                          : run_durable_flood(opt, cluster, dg, fcfg, m);
+  const std::optional<FloodingResult> res =
+      run_durable(opt, FloodProgram::kStateVersion, dg.num_vertices(), m, fault,
+                  [&](FaultPlane* plane) {
+                    fcfg.fault = plane;
+                    return flooding_connectivity(cluster, dg, fcfg);
+                  });
   if (!res.has_value()) return res;
   std::printf("components=%llu supersteps=%llu converged=%s\n",
               static_cast<unsigned long long>(res->num_components),
               static_cast<unsigned long long>(res->supersteps),
               res->converged ? "yes" : "no");
   print_stats("flood", res->stats);
+  print_fault_stats(fault);
+  return res;
+}
+
+/// The conn/mst path, shared by both backends like run_flood: one Borůvka
+/// engine and one report whether the run is plain, rides the
+/// --fault-profile plane (acfg.fault), or is durable. Returns nullopt only
+/// on durable-plane errors.
+std::optional<BoruvkaResult> run_boruvka(const Options& opt, Cluster& cluster,
+                                         const DistributedGraph& dg, BoruvkaConfig acfg,
+                                         std::size_t m) {
+  const bool mst = opt.algo == "mst";
+  FaultPlane* const fault = acfg.fault;
+  const std::optional<BoruvkaResult> res =
+      run_durable(opt, BoruvkaEngine::kStateVersion, dg.num_vertices(), m, fault,
+                  [&](FaultPlane* plane) {
+                    acfg.fault = plane;
+                    return mst ? minimum_spanning_forest(cluster, dg, acfg)
+                               : connected_components(cluster, dg, acfg);
+                  });
+  if (!res.has_value()) return res;
+  if (mst) {
+    Weight total = 0;
+    for (const auto& e : res->mst_edges()) total += e.w;
+    std::printf("mst_edges=%zu total_weight=%llu phases=%zu sampler_retries=%llu\n",
+                res->mst_edges().size(), static_cast<unsigned long long>(total),
+                res->phases.size(), static_cast<unsigned long long>(res->sampler_retries));
+  } else {
+    std::printf("components=%llu phases=%zu forest_edges=%zu converged=%s "
+                "sampler_retries=%llu\n",
+                static_cast<unsigned long long>(res->num_components), res->phases.size(),
+                res->forest_edges().size(), res->converged ? "yes" : "no",
+                static_cast<unsigned long long>(res->sampler_retries));
+  }
+  print_stats(mst ? "mst" : "conn", res->stats);
   print_fault_stats(fault);
   return res;
 }
@@ -478,21 +525,8 @@ int run_stream(const Options& opt) {
   acfg.threads = opt.threads;
   acfg.obs = obs.sink();
 
-  if (opt.algo == "conn") {
-    const auto res = connected_components(cluster, dg, acfg);
-    std::printf("components=%llu phases=%zu converged=%s sampler_retries=%llu\n",
-                static_cast<unsigned long long>(res.num_components), res.phases.size(),
-                res.converged ? "yes" : "no",
-                static_cast<unsigned long long>(res.sampler_retries));
-    print_stats("conn", res.stats);
-  } else if (opt.algo == "mst") {
-    const auto res = minimum_spanning_forest(cluster, dg, acfg);
-    Weight total = 0;
-    for (const auto& e : res.mst_edges()) total += e.w;
-    std::printf("mst_edges=%zu total_weight=%llu phases=%zu sampler_retries=%llu\n",
-                res.mst_edges().size(), static_cast<unsigned long long>(total),
-                res.phases.size(), static_cast<unsigned long long>(res.sampler_retries));
-    print_stats("mst", res.stats);
+  if (opt.algo == "conn" || opt.algo == "mst") {
+    if (!run_boruvka(opt, cluster, dg, acfg, m).has_value()) return 1;
   } else if (opt.algo == "flood") {
     if (!run_flood(opt, cluster, dg, obs.sink(), nullptr, m).has_value()) return 1;
   } else {  // referee
@@ -731,7 +765,7 @@ int main(int argc, char** argv) {
   }
 
   // Fault plane: seeded schedule + recovery machinery for the recoverable
-  // algorithms (conn/mst via the Borůvka engine's state hooks, flood via
+  // algorithms (conn/mst/flood — checkpointable programs, recovered by
   // checkpoint/replay).
   // Corruption profiles are meant to be *caught*: run them with --verify.
   std::optional<FaultSchedule> fault_schedule;
@@ -767,17 +801,12 @@ int main(int argc, char** argv) {
 
   const DistributedGraph dg(g, VertexPartition::random(n, opt.k, split(opt.seed, 0x9a97)));
 
+  const std::size_t m = opt.m != 0 ? opt.m : 3 * opt.n;
   if (opt.algo == "conn") {
-    const auto res = connected_components(cluster, dg, acfg);
-    std::printf("components=%llu phases=%zu forest_edges=%zu converged=%s "
-                "sampler_retries=%llu\n",
-                static_cast<unsigned long long>(res.num_components), res.phases.size(),
-                res.forest_edges().size(), res.converged ? "yes" : "no",
-                static_cast<unsigned long long>(res.sampler_retries));
-    print_stats("conn", res.stats);
-    print_fault_stats(fault_plane ? &*fault_plane : nullptr);
+    const auto res = run_boruvka(opt, cluster, dg, acfg, m);
+    if (!res.has_value()) return 1;
     if (opt.verify) {
-      const bool ok = canonical_labels(res.labels) == ref::component_labels(g);
+      const bool ok = canonical_labels(res->labels) == ref::component_labels(g);
       std::printf("verify: %s\n", ok ? "ok" : "MISMATCH");
       return ok ? 0 : 1;
     }
@@ -786,21 +815,16 @@ int main(int argc, char** argv) {
     g = with_unique_weights(with_random_weights(g, wrng, 1'000'000));
     const DistributedGraph wdg(g,
                                VertexPartition::random(n, opt.k, split(opt.seed, 0x9a97)));
-    const auto res = minimum_spanning_forest(cluster, wdg, acfg);
-    Weight total = 0;
-    for (const auto& e : res.mst_edges()) total += e.w;
-    std::printf("mst_edges=%zu total_weight=%llu phases=%zu sampler_retries=%llu\n",
-                res.mst_edges().size(), static_cast<unsigned long long>(total),
-                res.phases.size(), static_cast<unsigned long long>(res.sampler_retries));
-    print_stats("mst", res.stats);
-    print_fault_stats(fault_plane ? &*fault_plane : nullptr);
+    const auto res = run_boruvka(opt, cluster, wdg, acfg, m);
+    if (!res.has_value()) return 1;
     if (opt.verify) {
+      Weight total = 0;
+      for (const auto& e : res->mst_edges()) total += e.w;
       const bool ok = total == ref::msf_weight(g);
       std::printf("verify: %s\n", ok ? "ok" : "MISMATCH");
       return ok ? 0 : 1;
     }
   } else if (opt.algo == "flood") {
-    const std::size_t m = opt.m != 0 ? opt.m : 3 * opt.n;
     const auto res =
         run_flood(opt, cluster, dg, obs.sink(), fault_plane ? &*fault_plane : nullptr, m);
     if (!res.has_value()) return 1;

@@ -17,15 +17,18 @@
 // round/bit ledger reflects the full protocol, including label/weight
 // lookups at home machines and all control traffic.
 //
-// Execution: every per-machine protocol segment (sketch construction,
-// proxy-side merges and state transitions, query answering, relabeling) is
-// a superstep handler run on the src/runtime/ engine, so with
-// config.threads > 1 the k machines' local computation proceeds in
-// parallel. Handlers only touch machine-indexed state (machine_parts_[i],
-// proxy_records_[i], ...); the two cross-machine cells — the finished-label
-// flags, set concurrently by several part machines, and nothing else — are
-// atomics. The cluster ledger is identical for every thread count (see
-// runtime/runtime.hpp for why, and tests/test_runtime.cpp for proof).
+// Execution: the engine is one checkpointable MachineProgram (porting
+// recipe rules 8 and 10 in runtime.hpp). Each protocol segment above is one
+// step of a per-machine cursor {step, phase, t, rho} that all machines
+// advance in lockstep, so with config.threads > 1 the k machines' local
+// computation runs in parallel on the src/runtime/ engine. Handlers touch
+// only machine-indexed state and derive every input (proxy maps, rank and
+// sketch seeds) from their own cursor; run() only picks each step's
+// StepMode and does the driver-side work (sketch-builder binding, the
+// randomness charge, PhaseTrace, the safety caps). The cluster ledger is
+// identical for every thread count, a crashed machine is rebuilt by
+// checkpoint/replay, and with a DurableStore on the fault plane a run
+// resumes bit-identically in a new process.
 //
 // Registry contract (the allocation-free sketch plane, mirroring the
 // message plane of PR 3): all per-machine and proxy-side component state
@@ -65,10 +68,8 @@
 //    (cut property), so with distinct weights the union over machines is
 //    exactly the MST.
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -118,10 +119,11 @@ struct BoruvkaConfig {
   /// verification). Null records nothing; the ledger is identical either
   /// way. See src/obs/obs_sink.hpp.
   const ObsSink* obs = nullptr;
-  /// Optional fault-injection & recovery plane (src/fault/). The engine
-  /// registers per-machine state hooks covering parts, labels, pending
-  /// resends, proxy records and recorded output edges, so scheduled crashes
-  /// roll the victim back instead of aborting; null is bit-identical.
+  /// Optional fault-injection & recovery plane (src/fault/). The engine is
+  /// checkpointable: scheduled crashes roll the victim back to the last
+  /// checkpoint and replay its logged inboxes; a DurableStore on the plane
+  /// commits resume frames, and an armed frame resumes the run. Null is
+  /// bit-identical.
   FaultPlane* fault = nullptr;
   /// Optional cooperative cancellation point (src/serve/cancel.hpp),
   /// forwarded to every Runtime this config builds exactly like `obs`:
@@ -135,6 +137,8 @@ struct BoruvkaConfig {
   ThreadPool* pool = nullptr;
 };
 
+/// Per-phase instrumentation. After a durable resume, the phases an earlier
+/// process finished carry only their index.
 struct PhaseTrace {
   std::uint32_t phase = 0;
   std::uint64_t components_before = 0;  // distinct labels entering the phase
@@ -164,20 +168,61 @@ struct BoruvkaResult {
   [[nodiscard]] std::vector<WeightedEdge> mst_edges() const;
 };
 
-class BoruvkaEngine {
+/// The engine as one checkpointable MachineProgram; run() drives it.
+class BoruvkaEngine final : public MachineProgram {
  public:
+  /// Bumped on any change to the snapshot word layout (rule 10).
+  static constexpr std::uint64_t kStateVersion = 1;
+
   BoruvkaEngine(Cluster& cluster, const DistributedGraph& dg, BoruvkaConfig config,
                 BoruvkaMode mode);
 
   BoruvkaResult run();
 
+  void on_superstep(MachineId self, std::span<const Message> inbox, Outbox& out) override;
+  /// Machine 0 has stepped past the last step of the protocol.
+  [[nodiscard]] bool done() const override { return machines_[0].cursor.step == Step::kDone; }
+  [[nodiscard]] bool checkpointable() const override { return true; }
+  void snapshot(MachineId m, WordWriter& w) override;
+  void restore(MachineId m, WordReader& r) override;
+  [[nodiscard]] std::uint64_t state_version() const override { return kStateVersion; }
+
  private:
-  enum State : std::uint8_t {
-    kSearching = 0,
-    kAwaitWeight = 1,
-    kAwaitLabel = 2,
-    kDone = 3,
-    kFinishedState = 4,
+  /// The protocol's steps in execution order: per phase the active OR,
+  /// elimination iterations t, DRR ranking, merge iterations rho; after the
+  /// last phase the component count.
+  enum class Step : std::uint8_t {
+    kActiveGather, kActiveBcast,
+    kSketch, kProxyMerge, kAnswer, kReply, kThreshold, kElimGather, kElimBcast,
+    kRank, kChildReg,
+    kMergeGather, kMergeBcast, kHandoff, kLeaves, kApply,
+    kCountProxy, kCountRoot, kCountBcast,
+    kDone,
+  };
+  struct Cursor {
+    Step step = Step::kActiveGather;
+    std::uint32_t phase = 0;
+    std::uint32_t t = 0;    // elimination iteration (the DRR proxy generation after it)
+    std::uint32_t rho = 0;  // merge iteration
+  };
+  struct Machine {
+    Cursor cursor;
+    // Machines other than 0 learn an OR verdict from the next step's inbox;
+    // until then their cursor stays on the broadcast step.
+    bool await_verdict = false;
+    bool bit = false;      // this machine's input to the current OR-gather
+    bool verdict = false;  // machine 0: result of the last OR-broadcast
+    std::uint64_t count = 0;  // machine 0: result of the counting protocol
+    std::uint64_t sampler_retries = 0;
+  };
+
+  enum State : std::uint8_t { kSearching, kAwaitWeight, kAwaitLabel, kDone, kFinishedState };
+
+  /// A component part held by a home machine. `finished` is set by the
+  /// proxy's finish directive, which reaches every machine holding a part.
+  struct Part {
+    std::vector<Vertex> verts;
+    bool finished = false;
   };
 
   /// Proxy-side component record; travels between proxy generations in
@@ -208,34 +253,33 @@ class BoruvkaEngine {
     }
   };
 
-  // -- phase steps ---------------------------------------------------------
-  void charge_phase_randomness();
-  bool any_active_parts();
-  std::uint32_t run_elimination_loop(std::uint32_t phase);
-  void run_drr_step(std::uint32_t phase, std::uint32_t proxy_gen);
-  std::uint32_t run_merge_loop(std::uint32_t phase, std::uint32_t last_gen);
-  void run_component_count();
+  // -- protocol steps (handlers; machine i's state only) --------------------
+  [[nodiscard]] bool has_work(MachineId i, Step gather) const;  // the OR-gather bit
+  [[nodiscard]] static std::uint32_t ctrl_tag(Step or_step);
+  void broadcast(MachineId i, std::span<const Message> inbox, Outbox& out);
+  void sketch_parts(MachineId i, Outbox& out);
+  void merge_sketches(MachineId i, std::span<const Message> inbox, Outbox& out);
+  void answer_queries(MachineId i, std::span<const Message> inbox, Outbox& out);
+  void apply_replies(MachineId i, std::span<const Message> inbox, Outbox& out);
+  void apply_directive(MachineId i, const Message& msg);
+  void rank_components(MachineId i, Outbox& out);
+  void merge_leaves(MachineId i, std::span<const Message> inbox, Outbox& out);
+  void apply_merges(MachineId i, std::span<const Message> inbox);
+  void count_step(MachineId i, std::span<const Message> inbox, Outbox& out);
+  void send_handoffs(MachineId i, Outbox& out, const ProxyMap& to);
+  /// The cursor after an OR-broadcast step, from the cursor and the verdict.
+  void advance_past_broadcast(Cursor& c, bool any) const;
+
+  void charge_phase_randomness();  // driver-side, between steps
 
   // -- helpers -------------------------------------------------------------
   [[nodiscard]] ProxyMap elimination_proxies(std::uint32_t phase, std::uint32_t t) const;
   [[nodiscard]] ProxyMap merge_proxies(std::uint32_t phase, std::uint32_t rho) const;
-  /// Bind (or rebind) the long-lived sketch builder to this iteration's
-  /// shared seed; allocation-free after the first call.
-  const GraphSketchBuilder& bind_builder(std::uint64_t sketch_seed);
-  void send_handoffs(LabelRegistry<Record>& from, Outbox& out, const ProxyMap& to,
-                     WordWriter& w);
-  void apply_handoff(WordReader& reader, LabelRegistry<Record>& into);
+  /// The one word layout of a proxy record: handoff payloads and snapshots.
+  void write_record(Label label, const Record& rec, WordWriter& w) const;
+  void read_record(WordReader& r, LabelRegistry<Record>& into) const;
   void relabel_part(MachineId machine, Label from, Label to);
   [[nodiscard]] std::uint64_t count_distinct_labels();  // instrumentation only
-
-  // -- fault-plane state hooks (porting recipe rule 8b) --------------------
-  // Serialize / rebuild machine m's complete cross-step state. Deliberately
-  // excluded: finished_ (monotone one-way flags = replicated stable
-  // storage) and all within-step scratch (sum_slots_, sketch_pool_,
-  // writer_, *_scratch_ except the OR-reduce bits), which is re-cleared
-  // before every use.
-  void snapshot_machine(MachineId m, WordWriter& w);
-  void restore_machine(MachineId m, WordReader& r);
 
   [[nodiscard]] std::size_t mask_words() const { return (cluster_->k() + 63) / 64; }
   static void mask_set(std::vector<std::uint64_t>& mask, MachineId m) {
@@ -264,34 +308,32 @@ class BoruvkaEngine {
   SharedRandomness shared_;
   std::size_t n_;
   std::uint64_t label_bits_;  // wire bits of one label / vertex id
+  std::uint32_t max_phases_;  // config_.max_phases, or the Lemma 7 bound
   Runtime runtime_;           // parallel superstep executor over cluster_
 
-  // Home-machine state. All containers below are indexed by machine and
-  // each superstep handler touches only its own slot — the property that
-  // makes the per-machine handlers race-free without locks. Registries are
-  // flat and capacity-retaining (see the registry contract above).
-  std::vector<LabelRegistry<std::vector<Vertex>>> machine_parts_;
+  // Per-machine state, indexed by machine (labels_ by vertex, with
+  // home(v) == i): each handler touches only its own slot, so handlers are
+  // race-free without locks. snapshot(m) serializes all of it but the
+  // within-step scratch further down.
+  std::vector<Machine> machines_;
+  std::vector<LabelRegistry<Part>> machine_parts_;
   // Labels to re-sketch next iteration; the payload is the current MST
   // elimination threshold (kNoWeightLimit in connectivity mode / on entry).
   std::vector<LabelRegistry<Weight>> resend_;
   std::vector<Label> labels_;    // labels_[v], authoritative at home(v)
-  // finished_[label]: set (0 -> 1 only) concurrently by every part machine
-  // receiving the finish directive; atomic because several machines may
-  // hold parts of the same component. Read between supersteps.
-  std::unique_ptr<std::atomic<std::uint8_t>[]> finished_;
-  std::vector<std::uint64_t> sampler_retries_by_machine_;
-
   // Proxy-side records for the current proxy generation.
   std::vector<LabelRegistry<Record>> proxy_records_;
+
   // Per-superstep proxy accumulators: label -> pooled sketch index; lives
   // only within the proxy handler of one elimination iteration.
   std::vector<LabelRegistry<std::uint32_t>> sum_slots_;
   // Recycled L0Sampler storage: SS1 part sketches and proxy-side sums both
   // draw zeroed accumulators from here instead of constructing sketches.
   std::vector<SketchPool> sketch_pool_;
-  // One builder for the whole run, rebound per iteration (power tables
-  // recomputed in place); read-only inside handlers.
-  std::optional<GraphSketchBuilder> builder_;
+  // One builder for the whole run, rebound per iteration by the driver;
+  // read-only inside handlers. Only the sketch step reads its power tables;
+  // other handlers use its seed-free shape (universe, params, decode).
+  GraphSketchBuilder builder_;
 
   // Per-machine scratch (machine-indexed like the state above, so handlers
   // stay race-free); cleared between uses with capacity retained, so the
@@ -300,7 +342,6 @@ class BoruvkaEngine {
   std::vector<std::vector<std::uint64_t>> mask_scratch_;   // child-src masks
   std::vector<std::vector<std::uint64_t>> power_scratch_;  // fingerprint powers
   std::vector<std::vector<Label>> label_scratch_;  // finished/merged/count lists
-  std::vector<char> bit_scratch_;   // per-machine flags for the OR-reduces
   std::vector<char> seen_scratch_;  // per-vertex marks for label counting
 
   BoruvkaResult result_;

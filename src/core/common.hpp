@@ -43,16 +43,10 @@ class StatsScope {
   std::uint64_t rounds0_, msgs0_, bits0_, steps0_;
 };
 
-/// Distributed boolean OR + broadcast of the result ("does anyone still
-/// have work?"). Machines with a set bit report to M1 (machine 0), which
-/// broadcasts the OR back; costs 2 supersteps with at most k-1 one-bit
-/// messages each — the paper's standard O(1)-round control primitive.
-/// Runs as two StepMode::kInline control-plane supersteps on `rt`.
-[[nodiscard]] bool or_reduce_broadcast(Runtime& rt, const std::vector<char>& machine_bit,
-                                       std::uint32_t tag);
-
-/// Distributed sum of per-machine counters at M1, broadcast back.
-/// Same two-superstep pattern with counter payloads.
+/// Distributed sum of per-machine counters at M1 (machine 0), broadcast
+/// back: 2 supersteps with at most k-1 counter messages each — the paper's
+/// O(1)-round control primitive. Runs as two StepMode::kInline
+/// control-plane supersteps on `rt`.
 [[nodiscard]] std::uint64_t sum_reduce_broadcast(Runtime& rt,
                                                  const std::vector<std::uint64_t>& machine_value,
                                                  std::uint32_t tag);

@@ -159,11 +159,10 @@ FloodingResult flooding_connectivity(Cluster& cluster, const DistributedGraph& d
   FloodProgram program(dg, cluster.k());
   Runtime rt(cluster, RuntimeConfig{config.threads, config.obs, config.fault, config.cancel,
                                     config.pool});
+  // A durable frame is restored before the first step (rule 10).
+  if (config.fault != nullptr) config.fault->apply_resume(cluster, program);
   // One step per phase until the broadcast reports a quiet iteration, or
-  // the cap is reached at an iteration boundary (converged = false). A
-  // resume frame armed on the plane is restored inside the first step, so
-  // that step's mode may not match its phase; the modes are
-  // observationally identical.
+  // the cap is reached at an iteration boundary (converged = false).
   while (!program.done() &&
          !(program.phase() == FloodProgram::kExchange && program.iterations() >= max_iterations)) {
     (void)rt.step(program, step_mode(program.phase()));

@@ -16,7 +16,7 @@
 // phase cursor. flooding_connectivity drives it one Runtime step per phase:
 // a free initial local fixpoint, then per iteration a boundary exchange,
 // a free apply + local fixpoint, and a one-bit OR-gather to machine 0 and
-// verdict broadcast (the two kInline control steps of or_reduce_broadcast).
+// verdict broadcast (two kInline control steps).
 // The run stops right after the broadcast that reports no activity. With
 // config.threads > 1 the k machines' handlers run concurrently; the shared
 // labels/changed vectors are only ever written at machine-owned indices

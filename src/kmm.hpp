@@ -26,10 +26,9 @@
 //   fault      — opt-in fault injection & recovery: a seeded, bit-
 //                reproducible FaultSchedule (machine crashes, lossy links,
 //                payload corruption) plus the FaultPlane recovery machinery
-//                (superstep checkpoint/replay, state hooks,
-//                retransmit-from-outbox), attached through RuntimeConfig::fault /
-//                the core configs' fault field (off by default; detached is
-//                bit-identical)
+//                (superstep checkpoint/replay, retransmit-from-outbox),
+//                attached through RuntimeConfig::fault / the core configs'
+//                fault field (off by default; detached is bit-identical)
 //   durable    — the durable checkpoint & restart plane: checksummed
 //                on-disk frames (per-machine state + superstep ordinal +
 //                the full ClusterStats ledger + the inbox replay window,

@@ -163,6 +163,7 @@ std::uint64_t Runtime::step(MachineProgram& program, StepMode mode) {
 }
 
 std::uint64_t Runtime::run(MachineProgram& program, std::uint64_t max_supersteps) {
+  if (fault_ != nullptr) fault_->apply_resume(*cluster_, program);
   std::uint64_t rounds = 0;
   for (std::uint64_t s = 0; s < max_supersteps; ++s) {
     if (program.done()) return rounds;

@@ -41,9 +41,9 @@
 //     deliver everything;
 //     for (MachineId i = 0; i < k; ++i) { ...read inbox(i)...; }
 //
-// The mechanical transformation (the Borůvka engine's protocol segments
-// are the worked lambda example; flooding_connectivity folds the same
-// steps into one MachineProgram with a phase cursor) is:
+// The mechanical transformation (flooding_connectivity and the Borůvka
+// engine are the worked examples: each folds its steps into one
+// MachineProgram with a phase cursor) is:
 //
 //   1. Each "for each machine: compute + send" loop body becomes one
 //      SuperstepFn handler: rt.step([&](MachineId i, inbox, out) {...}).
@@ -59,7 +59,8 @@
 //      with home(v) == i) is written only by handler i. Flooding's shared
 //      labels/changed vectors follow this partition and assert it on the
 //      receive path; anything genuinely cross-machine must be atomic and
-//      only read between steps (see finished_ in the Borůvka engine).
+//      only read between steps — or be partitioned, as the Borůvka engine
+//      keeps a component's finished flag on every machine holding a part.
 //   4. One-word control-plane steps (OR/sum reduces, verdict broadcasts,
 //      single-machine referee solves) pass StepMode::kInline — the barrier
 //      would cost more than the handler work, and the modes are
@@ -87,25 +88,20 @@
 //      reallocate/wrap). Analytic Cluster::charge_rounds() between steps is
 //      fine — the timeline folds the charge into the next recorded row.
 //   8. To survive the fault plane (RuntimeConfig::fault, src/fault/), a
-//      program must be recoverable in one of two ways, preferred first:
-//      (a) a persistent MachineProgram overrides checkpointable() -> true
-//          plus snapshot(m, WordWriter&)/restore(m, WordReader&) such that
-//          restore rebuilds machine m's state *exactly* from the words
-//          snapshot wrote (and consumes all of them) — the plane then
-//          checkpoints every C steps and replays crashed machines through
-//          their logged inboxes; serialize everything a handler reads
-//          across steps, and nothing that is rebuilt within one step
-//          (scratch buffers, per-step accumulators). A multi-step protocol
-//          becomes one such program by carrying a phase cursor in its
-//          per-machine state (FloodProgram in core/flooding.hpp);
-//      (b) lambda-driven engines register FaultPlane state hooks for the
-//          run through the plane's RAII hook scope (the Borůvka engine does)
-//          with the same snapshot/restore contract per machine.
-//      A crash injected into a program that offers neither aborts with a
-//      pointer to this rule. Monotone one-way shared flags (e.g. the
-//      Borůvka engine's finished_ bits) may be treated as replicated stable
-//      storage and left out of snapshots; anything a machine could observe
-//      at two different values across a rollback must be serialized.
+//      program must be a persistent MachineProgram that overrides
+//      checkpointable() -> true plus snapshot(m, WordWriter&)/restore(m,
+//      WordReader&) such that restore rebuilds machine m's state *exactly*
+//      from the words snapshot wrote (and consumes all of them). The plane
+//      checkpoints every C steps and replays crashed machines through their
+//      logged inboxes; serialize everything a handler reads across steps,
+//      and nothing that is rebuilt within one step (scratch buffers,
+//      per-step accumulators). A multi-step protocol becomes one such
+//      program by carrying a phase cursor in its per-machine state, and
+//      every input a handler needs (proxy maps, seeds) must follow from
+//      that cursor: a replay re-runs a victim's older steps while the
+//      driver has moved on, so a handler may not read per-step values the
+//      driver sets up. A crash injected into any other program aborts with
+//      a pointer to this rule.
 //   9. Cancellation points and state-release obligations. When a
 //      CancelPoint rides RuntimeConfig::cancel (the serving layer's seam,
 //      src/serve/cancel.hpp), Runtime::step calls check() on the driver
@@ -116,9 +112,8 @@
 //      (a) every resource a run acquires must be released by unwinding —
 //          keep engine state (registries, sketch pools, arenas, scratch) in
 //          RAII members of a stack-local engine/driver and register
-//          cross-object attachments through scopes (the fault plane's hook
-//          scope is the model); never leak a raw registration that
-//          outlives the throw;
+//          cross-object attachments through scopes; never leak a raw
+//          registration that outlives the throw;
 //      (b) handlers must NOT contain their own blocking or cancellation
 //          logic — a handler span is pure local compute (rule 7) and is
 //          never interrupted mid-step; cancellation granularity is exactly
@@ -141,13 +136,13 @@
 //      (field order, widths, meaning — not just size). The version is
 //      stamped into every frame; RecoveryManager rejects mismatches as
 //      structured kStateVersionMismatch errors instead of misdecoding a
-//      stale generation. Only rule-8(a) programs are durably resumable:
-//      hook-mode engines (8b) can survive in-process crashes but their
-//      driver loop's control position dies with the process. The worked
-//      example is flooding_connectivity: FloodProgram keeps its phase
-//      cursor in the snapshot, so the driver loop re-derives its position
-//      (and each step's StepMode) from program state alone, and a durable
-//      run is the plain run on the same ledger. Durable resume additionally
+//      stale generation. Every rule-8 program is durably resumable when
+//      its driver loop derives its position (and each step's StepMode)
+//      from program state alone and calls FaultPlane::apply_resume once
+//      before its first step. Both worked examples do: FloodProgram
+//      (flooding_connectivity) and the Borůvka engine (connectivity and
+//      MST) keep their phase cursors in the snapshot, so a durable run is
+//      the plain run on the same ledger. Durable resume additionally
 //      relies on rules 1-6: the frame captures (state, inbox, ledger,
 //      ordinal) at a superstep boundary, and bit-identical continuation
 //      holds only because re-execution from that boundary is
@@ -275,7 +270,7 @@ class Runtime {
 
   /// Same, with an ad-hoc handler — the porting seam for algorithms written
   /// as explicit superstep sequences rather than one monolithic state
-  /// machine (the Borůvka engine drives one of these per protocol segment).
+  /// machine (most passes in src/core/ drive their segments this way).
   /// The callable is borrowed for the duration of the call; no
   /// std::function is constructed, keeping the dispatch allocation-free.
   template <typename Fn>
@@ -285,7 +280,8 @@ class Runtime {
     return step(program, mode);
   }
 
-  /// Drive `program` until program.done() or `max_supersteps` steps.
+  /// Drive `program` until program.done() or `max_supersteps` steps, after
+  /// applying a durable resume frame armed on the fault plane (rule 10).
   /// Returns total rounds charged.
   std::uint64_t run(MachineProgram& program, std::uint64_t max_supersteps = 1u << 20);
 

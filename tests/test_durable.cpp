@@ -335,6 +335,111 @@ TEST(DurablePlane, FloodConnectivityResumesBitIdentically) {
   }
 }
 
+// ------------------------------------ durable resume of the Borůvka engine
+
+TEST(DurablePlane, BoruvkaResumesBitIdentically) {
+  // Sparse enough for isolated vertices: their components finish in phase
+  // 0, before the resume point, so a resumed run that forgot a part's
+  // finished flag would re-sketch them in phase 1 and move the ledger.
+  Rng rng(17);
+  Rng wrng(5);
+  const Graph g = with_unique_weights(with_random_weights(gen::gnm(192, 288, rng), wrng, 100000));
+  const std::size_t n = g.num_vertices();
+  const MachineId k = 8;
+  BoruvkaConfig base;
+  base.seed = 99;
+  // The first lifetime is cancelled at superstep 30; with cadence 8 its
+  // newest generation is ordinal 24, which in MST mode is the proxy-merge
+  // step of elimination iteration 3 — the resumed driver must bind the
+  // sketch builder from the restored cursor before that step runs.
+  constexpr std::uint64_t kKillAt = 30;
+  const auto quiet_plane_config = [] {
+    FaultPlaneConfig pcfg;
+    pcfg.checkpoint_every = 8;
+    return pcfg;
+  };
+
+  for (const BoruvkaMode mode : {BoruvkaMode::kConnectivity, BoruvkaMode::kMst}) {
+    const auto solve = [mode](Cluster& cluster, const DistributedGraph& dg,
+                              const BoruvkaConfig& cfg) {
+      return mode == BoruvkaMode::kConnectivity ? connected_components(cluster, dg, cfg)
+                                                : minimum_spanning_forest(cluster, dg, cfg);
+    };
+    const auto expect_clean = [](const BoruvkaResult& res, const BoruvkaResult& clean) {
+      EXPECT_EQ(res.labels, clean.labels);
+      EXPECT_EQ(res.num_components, clean.num_components);
+      EXPECT_EQ(res.forest_edges(), clean.forest_edges());
+      EXPECT_EQ(res.mst_edges(), clean.mst_edges());
+      EXPECT_EQ(res.sampler_retries, clean.sampler_retries);
+      EXPECT_EQ(res.phases.size(), clean.phases.size());
+    };
+    const DistributedGraph dg(g, VertexPartition::random(n, k, 13));
+
+    // Uninterrupted reference run, no plane at all.
+    Cluster clean_cluster(ClusterConfig::for_graph(n, k));
+    const BoruvkaResult clean = solve(clean_cluster, dg, base);
+    ASSERT_TRUE(clean.converged);
+    ASSERT_GE(clean.phases.front().elimination_iterations,
+              mode == BoruvkaMode::kMst ? 4u : 1u);
+    const auto clean_ledger = ledger_words(clean_cluster.stats());
+
+    {
+      // A quiet durable run is the plain run on the same ledger.
+      DurableStore store({temp_dir("boruvka_gold"), false, 3, 0});
+      const FaultSchedule quiet(1);
+      FaultPlane plane(quiet, quiet_plane_config());
+      plane.set_durable_store(&store);
+      Cluster cluster(ClusterConfig::for_graph(n, k));
+      BoruvkaConfig cfg = base;
+      cfg.fault = &plane;
+      const BoruvkaResult gold = solve(cluster, dg, cfg);
+      expect_clean(gold, clean);
+      EXPECT_GT(plane.stats().durable_commits, 0u);
+      EXPECT_EQ(ledger_words(cluster.stats()), clean_ledger);
+    }
+
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      const std::string dir = temp_dir("boruvka");
+      {
+        DurableStore store({dir, false, 3, 0});
+        const FaultSchedule quiet(1);
+        FaultPlane plane(quiet, quiet_plane_config());
+        plane.set_durable_store(&store);
+        Cluster cluster(ClusterConfig::for_graph(n, k));
+        CancelPoint cancel;
+        cancel.cancel_at_superstep(kKillAt);
+        BoruvkaConfig cfg = base;
+        cfg.threads = threads;
+        cfg.fault = &plane;
+        cfg.cancel = &cancel;
+        EXPECT_THROW((void)solve(cluster, dg, cfg), QueryCancelled);
+        EXPECT_GT(plane.stats().durable_commits, 1u);
+      }
+
+      const auto rec = RecoveryManager::recover(
+          dir, RecoveryManager::Expectation{BoruvkaEngine::kStateVersion, 0, k});
+      ASSERT_TRUE(rec.ok()) << rec.error().message;
+      EXPECT_EQ(rec.value().frame.ordinal, 24u);
+
+      DurableStore store({dir, false, 3, 0});
+      const FaultSchedule quiet(1);
+      FaultPlane plane(quiet, quiet_plane_config());
+      plane.set_durable_store(&store);
+      plane.arm_resume(&rec.value().frame);
+      Cluster cluster(ClusterConfig::for_graph(n, k));
+      BoruvkaConfig cfg = base;
+      cfg.threads = threads;
+      cfg.fault = &plane;
+      const BoruvkaResult res = solve(cluster, dg, cfg);
+
+      EXPECT_EQ(plane.stats().resumes, 1u);
+      EXPECT_TRUE(res.converged) << "threads=" << threads;
+      expect_clean(res, clean);
+      EXPECT_EQ(ledger_words(cluster.stats()), clean_ledger) << "threads=" << threads;
+    }
+  }
+}
+
 // --------------------------------------------- corruption at rest (CRC)
 
 /// Commit two distinguishable generations of a tiny run into `dir`; returns

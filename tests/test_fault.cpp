@@ -4,9 +4,10 @@
 // counts. The invariants pinned here (CI also runs this suite under TSan):
 //   * an attached plane with an empty schedule is ledger-bit-identical to
 //     no plane at all (the seam costs nothing when silent);
-//   * crash recovery (checkpoint/replay, state hooks) produces answers
-//     equal to the fault-free run, with the recovered ledger identical for
-//     every thread count;
+//   * crash recovery (checkpoint/replay, the one recovery mode) produces
+//     answers equal to the fault-free run, with the recovered ledger
+//     identical for every thread count — also when the replay window spans
+//     several Borůvka elimination iterations;
 //   * lossy links (drops, duplicates, reorders) never change answers —
 //     their entire effect is deterministic extra rounds;
 //   * corruption is NOT recovered: it must be *caught* downstream by the
@@ -201,6 +202,12 @@ TEST(FaultPlane, ConnectivityAndMstRecoverFromCrashesThreadInvariantly) {
     EXPECT_EQ(conn.num_components, conn_clean.num_components);
     EXPECT_EQ(conn_plane.stats().crashes, 3u);
     EXPECT_EQ(conn_plane.stats().restores, 3u);
+    // Recovery rolls back to a checkpoint and replays logged inboxes.
+    EXPECT_GT(conn_plane.stats().replayed_steps, 0u);
+    // Pinned recovered ledger: stall and retransmit charges on top of the
+    // golden Borůvka step sequence.
+    EXPECT_EQ(ledger_key(cc.stats()), (LedgerKey{4154, 142, 3275, 4746265, 60672}))
+        << "threads=" << threads;
     conn_ledgers.push_back(ledger_key(cc.stats()));
 
     Cluster cm(ClusterConfig::for_graph(n, k));
@@ -210,12 +217,68 @@ TEST(FaultPlane, ConnectivityAndMstRecoverFromCrashesThreadInvariantly) {
     EXPECT_EQ(mst.labels, mst_clean.labels) << "threads=" << threads;
     EXPECT_EQ(mst.mst_edges(), mst_clean.mst_edges());
     EXPECT_EQ(mst_plane.stats().crashes, 3u);
+    EXPECT_EQ(mst_plane.stats().restores, 3u);
+    EXPECT_GT(mst_plane.stats().replayed_steps, 0u);
+    EXPECT_EQ(ledger_key(cm.stats()), (LedgerKey{18532, 340, 11389, 20944185, 68648}))
+        << "threads=" << threads;
     mst_ledgers.push_back(ledger_key(cm.stats()));
   }
   for (std::size_t i = 1; i < conn_ledgers.size(); ++i) {
     EXPECT_EQ(conn_ledgers[0], conn_ledgers[i]);
     EXPECT_EQ(mst_ledgers[0], mst_ledgers[i]);
   }
+}
+
+TEST(FaultPlane, MstReplayCrossesAnEliminationIterationBoundary) {
+  // Cadence 16 outlasts one 7-step elimination iteration (sketch, proxy
+  // merge, answer, reply, threshold, OR-gather, OR-broadcast), so a replay
+  // re-runs proxy-merge steps of earlier iterations while the driver's
+  // sketch builder is bound to the current one. Handlers must take the
+  // sketch seed from their own cursor. Phase 0 runs ordinals 2..50 as
+  // elimination: the crash at 15 replays 0..14 (the proxy merges of t = 0
+  // and t = 1), the crash at 30 replays 16..29 (those of t = 2 and t = 3,
+  // with the builder bound to t = 4).
+  Rng wrng(5);
+  const Graph g = with_unique_weights(with_random_weights(test_graph(192, 17), wrng, 100000));
+  const std::size_t n = g.num_vertices();
+  const MachineId k = 8;
+
+  BoruvkaConfig base;
+  base.seed = 99;
+  Cluster c0(ClusterConfig::for_graph(n, k));
+  const DistributedGraph dg0(g, VertexPartition::random(n, k, 13));
+  const BoruvkaResult clean = minimum_spanning_forest(c0, dg0, base);
+  ASSERT_TRUE(clean.converged);
+  ASSERT_GE(clean.phases.front().elimination_iterations, 5u);
+
+  FaultSchedule sched(31);
+  sched.add_crash(15, 2);
+  sched.add_crash(30, 5);
+  FaultPlaneConfig pcfg;
+  pcfg.checkpoint_every = 16;
+
+  std::vector<LedgerKey> ledgers;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    const DistributedGraph dg(g, VertexPartition::random(n, k, 13));
+    Cluster cluster(ClusterConfig::for_graph(n, k));
+    FaultPlane plane(sched, pcfg);
+    BoruvkaConfig cfg = base;
+    cfg.threads = threads;
+    cfg.fault = &plane;
+    const BoruvkaResult mst = minimum_spanning_forest(cluster, dg, cfg);
+    EXPECT_EQ(mst.labels, clean.labels) << "threads=" << threads;
+    EXPECT_EQ(mst.mst_edges(), clean.mst_edges()) << "threads=" << threads;
+    EXPECT_EQ(mst.num_components, clean.num_components);
+    const FaultStats fs = plane.stats();
+    EXPECT_EQ(fs.restores, 2u);
+    EXPECT_EQ(fs.replayed_steps, 15u + 14u);
+    // The clean ledger plus the crashes' stall and retransmit rounds.
+    EXPECT_EQ(cluster.stats().rounds, clean.stats.rounds + fs.stall_rounds + fs.overhead_rounds);
+    EXPECT_EQ(cluster.stats().total_bits, clean.stats.bits);
+    ledgers.push_back(ledger_key(cluster.stats()));
+  }
+  EXPECT_EQ(ledgers[0], ledgers[1]);
+  EXPECT_EQ(ledgers[0], ledgers[2]);
 }
 
 // ------------------------------------------------------------- lossy links
@@ -296,7 +359,7 @@ TEST(FaultPlane, CorruptionIsCaughtByTheRawLabelReferee) {
   EXPECT_GT(mismatches, 0u) << "corruption went undetected by the referee";
 }
 
-// -------------------------------------------- checkpoint/replay (rule 8a)
+// --------------------------------------------- checkpoint/replay (rule 8)
 
 /// Minimal checkpointable program: a k-machine ring where every machine
 /// folds each received word into a running value and forwards a token for
@@ -383,8 +446,8 @@ TEST(FaultPlaneDeathTest, UnrecoverableProgramAbortsWithRule8) {
   FaultPlane plane(sched);
   Cluster cluster(ClusterConfig{k, 64});
   Runtime rt(cluster, RuntimeConfig{1, nullptr, &plane});
-  // An ad-hoc lambda step with no hooks registered: not checkpointable and
-  // no restore hook — nothing the plane can recover with.
+  // An ad-hoc lambda step is not checkpointable — nothing the plane can
+  // recover with.
   EXPECT_DEATH((void)rt.step([](MachineId self, std::span<const Message>, Outbox& out) {
                  out.send((self + 1) % 4, 1, {std::uint64_t{1}}, 64);
                }),

@@ -26,25 +26,24 @@ Row run_all(const Graph& g, MachineId k, std::uint64_t seed, BenchJson& json) {
     const DistributedGraph dg(g, part);
     BoruvkaConfig cfg;
     cfg.seed = split(seed, 2);
-    const auto timed = time_stats([&] { return connected_components(c, dg, cfg); },
-                                  [](const auto& r) { return r.phases.size(); });
-    row.conn = timed.stats.rounds;
-    json.record("sketch-conn", n, m, k, 1, timed.stats, timed.phases, timed.wall_ms);
+    const auto run = timed([&] { return connected_components(c, dg, cfg); });
+    row.conn = run.result.stats.rounds;
+    json.record("sketch-conn", n, m, k, 1, run.result, run.wall_ms);
   }
   {
     Cluster c(ClusterConfig::for_graph(n, k));
     const DistributedGraph dg(g, part);
-    const auto timed = time_stats([&] { return flooding_connectivity(c, dg); });
-    row.flood = timed.stats.rounds;
-    json.record("flooding", n, m, k, 1, timed.stats, 0, timed.wall_ms);
+    const auto run = timed([&] { return flooding_connectivity(c, dg); });
+    row.flood = run.result.stats.rounds;
+    json.record("flooding", n, m, k, 1, run.result.stats, 0, run.wall_ms);
   }
   {
     Cluster c(ClusterConfig::for_graph(n, k));
     const DistributedGraph dg(g, part);
-    const auto timed = time_stats(
+    const auto run = timed(
         [&] { return referee_connectivity(c, dg, RefereeConfig{.broadcast_labels = false}); });
-    row.referee = timed.stats.rounds;
-    json.record("referee", n, m, k, 1, timed.stats, 0, timed.wall_ms);
+    row.referee = run.result.stats.rounds;
+    json.record("referee", n, m, k, 1, run.result.stats, 0, run.wall_ms);
   }
   return row;
 }
@@ -111,24 +110,28 @@ int main() {
     const std::size_t n = g.num_vertices();
     std::printf("\nruntime thread scaling, flooding on clique_chain(2048 x 16), k=16:\n");
     if (!run_thread_scaling_stats(
-            "flooding-threads", n, g.num_edges(), 16, json, [&](unsigned threads) {
+            "flooding-threads", n, g.num_edges(), 16, json,
+            [&](unsigned threads, const ObsSink* obs) {
               Cluster c(ClusterConfig::for_graph(n, 16));
               const DistributedGraph dg(g, VertexPartition::random(n, 16, 91));
               FloodingConfig fcfg;
               fcfg.threads = threads;
-              return time_stats([&] { return flooding_connectivity(c, dg, fcfg); });
+              fcfg.obs = obs;
+              return timed([&] { return flooding_connectivity(c, dg, fcfg); });
             })) {
       return 1;
     }
     std::printf("\nruntime thread scaling, referee on clique_chain(2048 x 16), k=16:\n");
     if (!run_thread_scaling_stats(
-            "referee-threads", n, g.num_edges(), 16, json, [&](unsigned threads) {
+            "referee-threads", n, g.num_edges(), 16, json,
+            [&](unsigned threads, const ObsSink* obs) {
               Cluster c(ClusterConfig::for_graph(n, 16));
               const DistributedGraph dg(g, VertexPartition::random(n, 16, 93));
               RefereeConfig rcfg;
               rcfg.broadcast_labels = false;
               rcfg.threads = threads;
-              return time_stats([&] { return referee_connectivity(c, dg, rcfg); });
+              rcfg.obs = obs;
+              return timed([&] { return referee_connectivity(c, dg, rcfg); });
             })) {
       return 1;
     }

@@ -157,13 +157,14 @@ int main() {
     Rng grng(17);
     Graph eg = gen::gnm(ec.n, ec.m, grng);
     if (ec.algo[0] == 'm') eg = weighted_unique(std::move(eg), 23);
-    const auto timed = ec.algo[0] == 'm' ? run_mst_timed(eg, 8, 29)
-                                         : run_connectivity_timed(eg, 8, 29);
-    const double aps = allocs_per_superstep(timed, timed.result.stats.supersteps);
+    const auto run = timed([&] {
+      return ec.algo[0] == 'm' ? run_mst(eg, 8, 29) : run_connectivity(eg, 8, 29);
+    });
+    const double aps = run.allocs_per_superstep();
     std::printf("%14s %6zu %8llu %10llu %9.1f %14.1f\n", ec.algo, ec.n,
-                static_cast<unsigned long long>(timed.result.stats.rounds),
-                static_cast<unsigned long long>(timed.result.stats.supersteps),
-                timed.wall_ms, aps);
+                static_cast<unsigned long long>(run.result.stats.rounds),
+                static_cast<unsigned long long>(run.result.stats.supersteps),
+                run.wall_ms, aps);
     char buf[384];
     std::snprintf(buf, sizeof(buf),
                   "{\"section\": \"engine\", \"algo\": \"%s\", \"n\": %zu, \"m\": %zu, "
@@ -171,9 +172,9 @@ int main() {
                   "\"wall_ms\": %.3f, \"allocs_per_superstep\": %.1f, "
                   "\"allocs_total\": %llu}",
                   ec.algo, ec.n, ec.m,
-                  static_cast<unsigned long long>(timed.result.stats.rounds),
-                  static_cast<unsigned long long>(timed.result.stats.supersteps),
-                  timed.wall_ms, aps, static_cast<unsigned long long>(timed.allocs));
+                  static_cast<unsigned long long>(run.result.stats.rounds),
+                  static_cast<unsigned long long>(run.result.stats.supersteps),
+                  run.wall_ms, aps, static_cast<unsigned long long>(run.allocs));
     json.record_raw(buf);
   }
   return 0;

@@ -1,17 +1,17 @@
 #pragma once
-// Shared helpers for the experiment harnesses (E1..E13 in DESIGN.md).
+// Shared helpers for the bench/ experiment harnesses.
 //
 // Each bench binary regenerates one of the paper's quantitative claims and
 // prints a self-contained table: the claim, the measured series, and the
 // derived columns that make the comparison (normalized rounds, log-log
-// slopes). EXPERIMENTS.md records paper-vs-measured from these outputs.
+// slopes). Every run also lands in a BENCH_<name>.json record (BenchJson).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -28,81 +28,69 @@ inline void banner(const char* experiment, const char* claim) {
   std::printf("==================================================================\n");
 }
 
-/// Wall time of the three superstep phases during a run (deltas of the
-/// runtime_phase_totals() process counters): handler = parallel local
-/// computation, deliver = moving messages into inboxes, reduce = folding
-/// the per-destination ledger partials. The columns that show where a
-/// thread-scaling section's wall-clock actually goes.
+/// Wall time of the three superstep phases over the rows [first_row, end)
+/// of a recorded timeline: handler = parallel local computation, deliver =
+/// moving messages into inboxes, reduce = folding the per-destination
+/// ledger partials. The columns that show where a thread-scaling section's
+/// wall-clock actually goes.
 struct PhaseMs {
   double handler_ms = 0.0;
   double deliver_ms = 0.0;
   double reduce_ms = 0.0;
 
-  static PhaseMs between(const RuntimePhaseTotals& before, const RuntimePhaseTotals& after) {
-    // Saturating subtraction: a torn read of the relaxed process-wide
-    // counters (or swapped arguments) degrades to a 0 column, never to a
-    // ~2^64 ns garbage row in the JSON trajectory.
-    const RuntimePhaseTotals d = after - before;
-    return PhaseMs{static_cast<double>(d.handler_ns) * 1e-6,
-                   static_cast<double>(d.deliver_ns) * 1e-6,
-                   static_cast<double>(d.reduce_ns) * 1e-6};
+  static PhaseMs of(const MetricsTimeline& tl, std::size_t first_row = 0) {
+    std::uint64_t handler_ns = 0, deliver_ns = 0, reduce_ns = 0;
+    for (std::size_t i = first_row; i < tl.size(); ++i) {
+      handler_ns += tl.row(i).handler_ns;
+      deliver_ns += tl.row(i).deliver_ns;
+      reduce_ns += tl.row(i).reduce_ns;
+    }
+    return PhaseMs{static_cast<double>(handler_ns) * 1e-6,
+                   static_cast<double>(deliver_ns) * 1e-6,
+                   static_cast<double>(reduce_ns) * 1e-6};
   }
 };
 
-/// A run plus its wall-clock time (the simulator's real execution time —
-/// what the runtime's --threads knob improves; the simulated round count is
-/// thread-invariant by construction).
-struct TimedResult {
-  BoruvkaResult result;
+/// A run's result plus what it cost the simulator: wall-clock (what the
+/// runtime's --threads knob improves; the simulated ledger is
+/// thread-invariant by construction), operator-new calls and the heap
+/// high-water mark during the run.
+template <typename Result>
+struct Timed {
+  Result result;
   double wall_ms = 0.0;
-  std::uint64_t allocs = 0;           // operator-new calls during the run
-  std::uint64_t peak_heap_bytes = 0;  // heap high-water mark during the run
-  PhaseMs phase;
+  std::uint64_t allocs = 0;
+  std::uint64_t peak_heap_bytes = 0;
+
+  /// Allocations per superstep (0 when the run had no supersteps); the
+  /// column that separates "faster because parallel" from "faster because
+  /// fewer mallocs" in the scaling JSON.
+  [[nodiscard]] double allocs_per_superstep() const {
+    const std::uint64_t supersteps = result.stats.supersteps;
+    return supersteps == 0 ? 0.0
+                           : static_cast<double>(allocs) / static_cast<double>(supersteps);
+  }
 };
 
-/// Algorithm-agnostic flavor of TimedResult for the non-Borůvka entry
-/// points (flooding, referee, min-cut, verification, REP baselines): just
-/// the RunStats ledger delta plus wall-clock, with an optional phase count
-/// for algorithms that have one.
-struct TimedStats {
-  RunStats stats;
-  std::size_t phases = 0;
-  double wall_ms = 0.0;
-  std::uint64_t allocs = 0;           // operator-new calls during the run
-  std::uint64_t peak_heap_bytes = 0;  // heap high-water mark during the run
-  PhaseMs phase;
-};
-
-/// Allocations per superstep for a timed run (0 when the run had no
-/// supersteps); the column that separates "faster because parallel" from
-/// "faster because fewer mallocs" in the scaling JSON.
-template <typename Timed>
-double allocs_per_superstep(const Timed& timed, std::uint64_t supersteps) {
-  if (supersteps == 0) return 0.0;
-  return static_cast<double>(timed.allocs) / static_cast<double>(supersteps);
-}
-
-/// Time `fn()` (which must return something carrying .stats) into a
-/// TimedStats record; `phases_of` extracts the phase count from the result
-/// (BoruvkaResult::phases, MinCutResult::levels, ...).
-template <typename Fn, typename PhasesOf>
-TimedStats time_stats(const Fn& fn, const PhasesOf& phases_of) {
+/// The benches' one stopwatch: time exactly the call `fn()`.
+template <typename Fn>
+Timed<std::invoke_result_t<const Fn&>> timed(const Fn& fn) {
   const auto a0 = alloc_count();
   reset_peak_heap();
-  const auto p0 = runtime_phase_totals();
   const auto t0 = std::chrono::steady_clock::now();
-  const auto result = fn();
+  auto result = fn();
   const auto t1 = std::chrono::steady_clock::now();
-  return TimedStats{result.stats, phases_of(result),
-                    std::chrono::duration<double, std::milli>(t1 - t0).count(),
-                    alloc_count() - a0, peak_heap_bytes(),
-                    PhaseMs::between(p0, runtime_phase_totals())};
+  return {std::move(result), std::chrono::duration<double, std::milli>(t1 - t0).count(),
+          alloc_count() - a0, peak_heap_bytes()};
 }
 
-/// Same, for algorithms with no phase notion (phases = 0).
-template <typename Fn>
-TimedStats time_stats(const Fn& fn) {
-  return time_stats(fn, [](const auto&) { return std::size_t{0}; });
+/// The JSON `phases` column: Borůvka phases, min-cut sampling levels, and 0
+/// for algorithms with no phase notion.
+inline std::size_t phases_of(const BoruvkaResult& r) { return r.phases.size(); }
+inline std::size_t phases_of(const MinCutResult& r) { return r.levels.size(); }
+template <typename Result>
+std::size_t phases_of(const Result&) {
+  return 0;
 }
 
 /// One standard connectivity run; returns the full result (stats included).
@@ -162,46 +150,19 @@ inline std::string superstep_wall_json(const SuperstepWallSummary& s) {
 }
 
 inline BoruvkaResult run_mst(const Graph& g, MachineId k, std::uint64_t seed,
-                             unsigned threads = 1) {
+                             unsigned threads = 1, const ObsSink* obs = nullptr) {
   Cluster cluster(ClusterConfig::for_graph(g.num_vertices(), k));
   const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), k, split(seed, 1)));
   BoruvkaConfig cfg;
   cfg.seed = split(seed, 2);
   cfg.threads = threads;
+  cfg.obs = obs;
   return minimum_spanning_forest(cluster, dg, cfg);
-}
-
-inline TimedResult run_connectivity_timed(const Graph& g, MachineId k, std::uint64_t seed,
-                                          unsigned threads = 1) {
-  const auto a0 = alloc_count();
-  reset_peak_heap();
-  const auto p0 = runtime_phase_totals();
-  const auto t0 = std::chrono::steady_clock::now();
-  auto result = run_connectivity(g, k, seed, threads);
-  const auto t1 = std::chrono::steady_clock::now();
-  return TimedResult{std::move(result),
-                     std::chrono::duration<double, std::milli>(t1 - t0).count(),
-                     alloc_count() - a0, peak_heap_bytes(),
-                     PhaseMs::between(p0, runtime_phase_totals())};
-}
-
-inline TimedResult run_mst_timed(const Graph& g, MachineId k, std::uint64_t seed,
-                                 unsigned threads = 1) {
-  const auto a0 = alloc_count();
-  reset_peak_heap();
-  const auto p0 = runtime_phase_totals();
-  const auto t0 = std::chrono::steady_clock::now();
-  auto result = run_mst(g, k, seed, threads);
-  const auto t1 = std::chrono::steady_clock::now();
-  return TimedResult{std::move(result),
-                     std::chrono::duration<double, std::milli>(t1 - t0).count(),
-                     alloc_count() - a0, peak_heap_bytes(),
-                     PhaseMs::between(p0, runtime_phase_totals())};
 }
 
 /// Machine-readable perf trajectory: every record() appends a JSON object;
 /// the destructor writes BENCH_<name>.json into the working directory so CI
-/// and the EXPERIMENTS.md tooling can track rounds and wall-clock across
+/// and bench/aggregate_bench.py can track rounds and wall-clock across
 /// commits without scraping the human-readable tables.
 class BenchJson {
  public:
@@ -297,50 +258,46 @@ inline Graph weighted_unique(Graph g, std::uint64_t seed, Weight limit = 1'000'0
   return with_unique_weights(with_random_weights(g, rng, limit));
 }
 
-/// Shared runtime thread-scaling harness: run `runner(threads)` over
+/// Shared runtime thread-scaling harness: run `runner(threads, obs)` over
 /// threads ∈ {1, 2, 4, 8}, print wall-clock and speedup vs threads=1,
 /// record every run into `json`, and enforce the runtime's ledger
 /// invariant (the simulated round count must not depend on the thread
-/// count). Returns false — after printing a LEDGER MISMATCH line — if the
-/// invariant is violated, so benches can exit nonzero.
-inline bool run_thread_scaling_stats(const char* family, std::size_t n, std::size_t m,
-                                     MachineId k, BenchJson& json,
-                                     const std::function<TimedStats(unsigned)>& runner) {
+/// count). The runner returns a timed() run and forwards `obs` into its
+/// algorithm config; the harness owns that sink's summarized timeline, so
+/// the handler/deliver/reduce columns are the run's own rows. Returns
+/// false — after printing a LEDGER MISMATCH line — if the invariant is
+/// violated, so benches can exit nonzero.
+template <typename Runner>
+bool run_thread_scaling_stats(const char* family, std::size_t n, std::size_t m, MachineId k,
+                              BenchJson& json, const Runner& runner) {
+  MetricsTimeline timeline(MetricsTimelineConfig{.full_traffic_steps = 0});
+  const ObsSink obs{&timeline, nullptr};
   std::printf("%8s %10s %9s %9s %14s %11s %11s %10s %9s\n", "threads", "rounds", "wall_ms",
               "speedup", "allocs/sstep", "handler_ms", "deliver_ms", "reduce_ms", "peak_MB");
   double base_ms = 0.0;
   std::uint64_t base_rounds = 0;
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    const auto timed = runner(threads);
+    const auto run = runner(threads, &obs);
+    const RunStats& stats = run.result.stats;
+    const PhaseMs phase = PhaseMs::of(timeline);
+    timeline.clear();
     if (threads == 1) {
-      base_ms = timed.wall_ms;
-      base_rounds = timed.stats.rounds;
+      base_ms = run.wall_ms;
+      base_rounds = stats.rounds;
     }
-    const double aps = allocs_per_superstep(timed, timed.stats.supersteps);
+    const double aps = run.allocs_per_superstep();
     std::printf("%8u %10llu %9.1f %8.2fx %14.1f %11.1f %11.1f %10.1f %9.1f\n", threads,
-                static_cast<unsigned long long>(timed.stats.rounds), timed.wall_ms,
-                base_ms / timed.wall_ms, aps, timed.phase.handler_ms, timed.phase.deliver_ms,
-                timed.phase.reduce_ms,
-                static_cast<double>(timed.peak_heap_bytes) / (1024.0 * 1024.0));
-    if (timed.stats.rounds != base_rounds) {
+                static_cast<unsigned long long>(stats.rounds), run.wall_ms,
+                base_ms / run.wall_ms, aps, phase.handler_ms, phase.deliver_ms,
+                phase.reduce_ms, static_cast<double>(run.peak_heap_bytes) / (1024.0 * 1024.0));
+    if (stats.rounds != base_rounds) {
       std::printf("  LEDGER MISMATCH at threads=%u — runtime invariant violated\n", threads);
       return false;
     }
-    json.record(family, n, m, k, threads, timed.stats, timed.phases, timed.wall_ms, aps,
-                &timed.phase, timed.peak_heap_bytes);
+    json.record(family, n, m, k, threads, stats, phases_of(run.result), run.wall_ms, aps,
+                &phase, run.peak_heap_bytes);
   }
   return true;
-}
-
-inline bool run_thread_scaling(const char* family, std::size_t n, std::size_t m, MachineId k,
-                               BenchJson& json,
-                               const std::function<TimedResult(unsigned)>& runner) {
-  return run_thread_scaling_stats(
-      family, n, m, k, json, [&](unsigned threads) {
-        const auto timed = runner(threads);
-        return TimedStats{timed.result.stats, timed.result.phases.size(), timed.wall_ms,
-                          timed.allocs, timed.peak_heap_bytes, timed.phase};
-      });
 }
 
 /// log-log slope of rounds against k (the paper predicts ~ -2 for the

@@ -27,15 +27,15 @@ int main() {
     std::vector<double> kd, rounds, kd_regime, rounds_regime;
     const std::uint64_t lg = bits_for(n);
     for (const MachineId k : ks) {
-      const auto timed = run_connectivity_timed(g, k, split(2, n * 100 + k));
-      const auto& res = timed.result;
+      const auto run = timed([&] { return run_connectivity(g, k, split(2, n * 100 + k)); });
+      const auto& res = run.result;
       const double norm = static_cast<double>(res.stats.rounds) * k * k / n;
       std::printf("%-18s %6zu %4u %10llu %10llu %12llu %12.1f %8zu %7llu %9.1f\n",
                   "gnm(3n)", n, k, static_cast<unsigned long long>(res.stats.rounds),
                   static_cast<unsigned long long>(res.stats.messages),
                   static_cast<unsigned long long>(res.stats.bits), norm, res.phases.size(),
-                  static_cast<unsigned long long>(res.num_components), timed.wall_ms);
-      json.record("gnm(3n)", n, g.num_edges(), k, 1, res, timed.wall_ms);
+                  static_cast<unsigned long long>(res.num_components), run.wall_ms);
+      json.record("gnm(3n)", n, g.num_edges(), k, 1, res, run.wall_ms);
       kd.push_back(k);
       rounds.push_back(static_cast<double>(res.stats.rounds));
       // The Theorem 1 bound is n/k^2 *plus additive polylog*; the quadratic
@@ -60,15 +60,15 @@ int main() {
   for (const MachineId k : ks) {
     Rng rng(7);
     const Graph g = gen::multi_component(4096, 10000, 8, rng);
-    const auto timed = run_connectivity_timed(g, k, split(3, k));
-    const auto& res = timed.result;
+    const auto run = timed([&] { return run_connectivity(g, k, split(3, k)); });
+    const auto& res = run.result;
     std::printf("%-18s %6u %4u %10llu %10llu %12llu %12.1f %8zu %7llu %9.1f\n", "multi(8)",
                 4096u, k, static_cast<unsigned long long>(res.stats.rounds),
                 static_cast<unsigned long long>(res.stats.messages),
                 static_cast<unsigned long long>(res.stats.bits),
                 static_cast<double>(res.stats.rounds) * k * k / 4096, res.phases.size(),
-                static_cast<unsigned long long>(res.num_components), timed.wall_ms);
-    json.record("multi(8)", 4096, g.num_edges(), k, 1, res, timed.wall_ms);
+                static_cast<unsigned long long>(res.num_components), run.wall_ms);
+    json.record("multi(8)", 4096, g.num_edges(), k, 1, res, run.wall_ms);
   }
 
   // Runtime thread scaling: the simulated ledger is identical across thread
@@ -81,10 +81,11 @@ int main() {
     const std::size_t n = 120000;
     Rng rng(split(5, n));
     const Graph g = gen::gnm(n, 3 * n, rng);
-    if (!run_thread_scaling("gnm(3n)-threads", n, g.num_edges(), 16, json,
-                            [&](unsigned threads) {
-                              return run_connectivity_timed(g, 16, split(6, n), threads);
-                            })) {
+    if (!run_thread_scaling_stats(
+            "gnm(3n)-threads", n, g.num_edges(), 16, json,
+            [&](unsigned threads, const ObsSink* obs) {
+              return timed([&] { return run_connectivity(g, 16, split(6, n), threads, obs); });
+            })) {
       return 1;
     }
   }

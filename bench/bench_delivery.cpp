@@ -84,13 +84,12 @@ DeliveryRow run_config(std::size_t payload_words, unsigned threads) {
   const std::size_t warm_rows = timeline.size();
 
   const auto a0 = alloc_count();
-  const auto p0 = runtime_phase_totals();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t s = 0; s < kMeasureSteps; ++s, ++step_index) rt.step(handler);
   const auto t1 = std::chrono::steady_clock::now();
-  const auto p1 = runtime_phase_totals();
   const auto allocs = alloc_count() - a0;
   const SuperstepWallSummary wall = summarize_superstep_wall(timeline, warm_rows);
+  const PhaseMs phase = PhaseMs::of(timeline, warm_rows);
 
   // One drain step so the last deliveries are consumed (outside the timer).
   rt.step([&](MachineId self, std::span<const Message> inbox, Outbox&) {
@@ -103,7 +102,6 @@ DeliveryRow run_config(std::size_t payload_words, unsigned threads) {
   row.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   const double msgs = static_cast<double>(kMachines * kFanout * kMeasureSteps);
   row.msgs_per_sec = msgs / (row.wall_ms / 1000.0);
-  const PhaseMs phase = PhaseMs::between(p0, p1);
   row.handler_ms = phase.handler_ms;
   row.deliver_ms = phase.deliver_ms;
   row.reduce_ms = phase.reduce_ms;
@@ -187,15 +185,8 @@ bool run_large_tier(BenchJson& json) {
     FloodingConfig fcfg;
     fcfg.threads = threads;
     fcfg.obs = &sink;
-    const auto p0 = runtime_phase_totals();
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto res = flooding_connectivity(cluster, dg, fcfg);
-    const auto t1 = std::chrono::steady_clock::now();
-    const PhaseMs phase = PhaseMs::between(p0, runtime_phase_totals());
-    const double wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    const double handler_ms = phase.handler_ms;
-    const double deliver_ms = phase.deliver_ms;
-    const double reduce_ms = phase.reduce_ms;
+    const auto run = timed([&] { return flooding_connectivity(cluster, dg, fcfg); });
+    const PhaseMs phase = PhaseMs::of(timeline);
     const std::uint64_t rounds = cluster.stats().rounds;
     if (threads == 1) {
       base_rounds = rounds;
@@ -206,8 +197,8 @@ bool run_large_tier(BenchJson& json) {
     const SuperstepWallSummary wall = summarize_superstep_wall(timeline);
     std::printf("%8u %9.0f %9.0f %10llu %9.0f %11.0f %11.0f %10.1f  (superstep p95 "
                 "%.0fus, max %.0fus)\n",
-                threads, gen_ms, build_ms, static_cast<unsigned long long>(rounds), wall_ms,
-                handler_ms, deliver_ms, reduce_ms, wall.p95_us, wall.max_us);
+                threads, gen_ms, build_ms, static_cast<unsigned long long>(rounds), run.wall_ms,
+                phase.handler_ms, phase.deliver_ms, phase.reduce_ms, wall.p95_us, wall.max_us);
     char buf[576];
     std::snprintf(buf, sizeof(buf),
                   "{\"section\": \"large_tier\", \"family\": \"gnm_par\", \"n\": %zu, "
@@ -217,9 +208,9 @@ bool run_large_tier(BenchJson& json) {
                   "\"reduce_ms\": %.1f, \"components\": %llu, %s}",
                   kN, g.num_edges(), kK, threads, gen_ms, build_ms,
                   static_cast<unsigned long long>(rounds),
-                  static_cast<unsigned long long>(cluster.stats().supersteps), wall_ms,
-                  handler_ms, deliver_ms, reduce_ms,
-                  static_cast<unsigned long long>(res.num_components),
+                  static_cast<unsigned long long>(cluster.stats().supersteps), run.wall_ms,
+                  phase.handler_ms, phase.deliver_ms, phase.reduce_ms,
+                  static_cast<unsigned long long>(run.result.num_components),
                   superstep_wall_json(wall).c_str());
     json.record_raw(buf);
   }

@@ -27,16 +27,15 @@ int main() {
       const DistributedGraph dg(g, VertexPartition::random(n, k, split(53, lambda)));
       MinCutConfig cfg;
       cfg.seed = split(55, lambda * 100 + k);
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto res = approximate_min_cut(cluster, dg, cfg);
-      const auto t1 = std::chrono::steady_clock::now();
+      const auto run = timed([&] { return approximate_min_cut(cluster, dg, cfg); });
+      const auto& res = run.result;
       std::printf("%6zu %8zu %10llu %10.2f %8d %10llu %8u\n", n, lambda,
                   static_cast<unsigned long long>(res.estimate),
                   static_cast<double>(res.estimate) / static_cast<double>(lambda),
                   res.disconnect_level, static_cast<unsigned long long>(res.stats.rounds),
                   k);
       json.record("dumbbell", n, g.num_edges(), k, 1, res.stats, res.levels.size(),
-                  std::chrono::duration<double, std::milli>(t1 - t0).count());
+                  run.wall_ms);
     }
   }
   std::printf("\nO(log n) band: ratios must stay within [1/(8 log2 n), 8 log2 n] = "
@@ -72,14 +71,15 @@ int main() {
     Rng rng(63);
     const Graph g = gen::dumbbell(big_n, 8, rng);
     if (!run_thread_scaling_stats(
-            "dumbbell-threads", big_n, g.num_edges(), 16, json, [&](unsigned threads) {
+            "dumbbell-threads", big_n, g.num_edges(), 16, json,
+            [&](unsigned threads, const ObsSink* obs) {
               Cluster cluster(ClusterConfig::for_graph(big_n, 16));
               const DistributedGraph dg(g, VertexPartition::random(big_n, 16, 65));
               MinCutConfig cfg;
               cfg.seed = 67;
               cfg.threads = threads;
-              return time_stats([&] { return approximate_min_cut(cluster, dg, cfg); },
-                                [](const auto& r) { return r.levels.size(); });
+              cfg.obs = obs;
+              return timed([&] { return approximate_min_cut(cluster, dg, cfg); });
             })) {
       return 1;
     }

@@ -27,8 +27,8 @@ int main() {
     const std::uint64_t lg = bits_for(n);
     std::vector<double> kd, rounds, kd_regime, rounds_regime;
     for (const MachineId k : ks) {
-      const auto timed = run_mst_timed(g, k, split(23, n * 100 + k));
-      const auto& res = timed.result;
+      const auto run = timed([&] { return run_mst(g, k, split(23, n * 100 + k)); });
+      const auto& res = run.result;
       Accumulator elim;
       for (const auto& phase : res.phases) elim.add(phase.elimination_iterations);
       Weight got = 0;
@@ -36,8 +36,8 @@ int main() {
       std::printf("%6zu %4u %10llu %12.1f %10.1f %10.0f %6s %9.1f\n", n, k,
                   static_cast<unsigned long long>(res.stats.rounds),
                   static_cast<double>(res.stats.rounds) * k * k / n, elim.mean(),
-                  elim.max(), got == expected ? "yes" : "NO", timed.wall_ms);
-      json.record("connected_gnm(3n)", n, g.num_edges(), k, 1, res, timed.wall_ms);
+                  elim.max(), got == expected ? "yes" : "NO", run.wall_ms);
+      json.record("connected_gnm(3n)", n, g.num_edges(), k, 1, res, run.wall_ms);
       kd.push_back(k);
       rounds.push_back(static_cast<double>(res.stats.rounds));
       if (n / (static_cast<std::size_t>(k) * k) >= lg) {
@@ -73,10 +73,11 @@ int main() {
     const std::size_t n = 65536;
     Rng grng(split(41, n));
     const Graph wg = weighted_unique(gen::connected_gnm(n, 3 * n, grng), split(42, n));
-    if (!run_thread_scaling("connected_gnm(3n)-threads", n, wg.num_edges(), 16, json,
-                            [&](unsigned threads) {
-                              return run_mst_timed(wg, 16, split(43, n), threads);
-                            })) {
+    if (!run_thread_scaling_stats(
+            "connected_gnm(3n)-threads", n, wg.num_edges(), 16, json,
+            [&](unsigned threads, const ObsSink* obs) {
+              return timed([&] { return run_mst(wg, 16, split(43, n), threads, obs); });
+            })) {
       return 1;
     }
   }

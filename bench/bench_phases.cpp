@@ -19,10 +19,8 @@ void trace_family(const char* name, const Graph& g, MachineId k, std::uint64_t s
                   BenchJson& json) {
   MetricsTimeline timeline;
   const ObsSink sink{&timeline, nullptr};
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto res = run_connectivity(g, k, seed, /*threads=*/1, &sink);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  const auto run = timed([&] { return run_connectivity(g, k, seed, /*threads=*/1, &sink); });
+  const auto& res = run.result;
 
   const auto budget = 12 * bits_for(g.num_vertices());
   std::printf("\n%s (n=%zu, m=%zu, k=%u): %zu phases / budget %llu\n", name,
@@ -54,7 +52,7 @@ void trace_family(const char* name, const Graph& g, MachineId k, std::uint64_t s
                 name, g.num_vertices(), g.num_edges(), k,
                 static_cast<unsigned long long>(res.stats.rounds),
                 static_cast<unsigned long long>(res.stats.supersteps), res.phases.size(),
-                static_cast<unsigned long long>(budget), wall_ms,
+                static_cast<unsigned long long>(budget), run.wall_ms,
                 superstep_wall_json(wall).c_str());
   json.record_raw(rec);
 }

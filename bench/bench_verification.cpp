@@ -115,9 +115,8 @@ int main() {
       Cluster cluster(ClusterConfig::for_graph(graph->num_vertices(), k));
       const DistributedGraph dg(
           *graph, VertexPartition::random(graph->num_vertices(), k, split(79, k)));
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto res = problem.run(cluster, dg);
-      const auto t1 = std::chrono::steady_clock::now();
+      const auto run = timed([&] { return problem.run(cluster, dg); });
+      const auto& res = run.result;
       const bool ok = res.ok == problem.expected_yes;
       all_ok &= ok;
       std::printf("%-28s %4u %8s %10llu %10.1f%s\n", problem.name, k,
@@ -126,7 +125,7 @@ int main() {
                       static_cast<double>(graph->num_vertices()),
                   ok ? "" : "   <-- WRONG VERDICT");
       json.record(problem.name, graph->num_vertices(), graph->num_edges(), k, 1, res.stats,
-                  0, std::chrono::duration<double, std::milli>(t1 - t0).count());
+                  0, run.wall_ms);
     }
   }
   std::printf("\nall verdicts correct: %s\n", all_ok ? "yes" : "NO");
@@ -142,12 +141,14 @@ int main() {
     Rng srng(83);
     const Graph g = gen::connected_gnm(big_n, 3 * big_n, srng);
     if (!run_thread_scaling_stats(
-            "bipartite-threads", big_n, g.num_edges(), 16, json, [&](unsigned threads) {
+            "bipartite-threads", big_n, g.num_edges(), 16, json,
+            [&](unsigned threads, const ObsSink* obs) {
               Cluster cluster(ClusterConfig::for_graph(big_n, 16));
               const DistributedGraph dg(g, VertexPartition::random(big_n, 16, 85));
               BoruvkaConfig vcfg{.seed = 87};
               vcfg.threads = threads;
-              return time_stats([&] { return verify_bipartiteness(cluster, dg, vcfg); });
+              vcfg.obs = obs;
+              return timed([&] { return verify_bipartiteness(cluster, dg, vcfg); });
             })) {
       return 1;
     }

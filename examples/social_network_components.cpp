@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nEach doubling of k cuts the sketch algorithm's rounds 2-4x —\n"
       "super-linear while n/k^2 dominates, tapering into the additive polylog\n"
-      "floor at large k (Theorem 1's O~; see EXPERIMENTS.md). Flooding is cheap\n"
+      "floor at large k (the polylog factors Theorem 1's O~ hides). Flooding is cheap\n"
       "on these low-diameter graphs; its worst case (high diameter, hub\n"
       "degrees) is measured in bench_baselines.\n");
   return 0;

@@ -18,8 +18,8 @@
 // link needs that many rounds). Self-addressed messages are local and free.
 //
 // The engine keeps a full ledger (rounds, messages, bits, per-superstep
-// per-link maxima, per-machine traffic) — the measurements every benchmark
-// in EXPERIMENTS.md is built on.
+// per-link maxima, per-machine traffic) — the measurements every bench/
+// harness and perfbench workload is built on.
 //
 // One delivery protocol: the src/runtime/ engine runs each superstep's
 // handlers into per-source OutboxShards (bucketed by destination) and hands

@@ -12,8 +12,11 @@
 //  * cost     — charge_distribution() charges the exact round count of the
 //               relay protocol: 2 * ceil(bits / (k-1)) rounds;
 //  * function — seeds derived deterministically from the master seed stand
-//               in for the shared bits (see DESIGN.md §1 for why a PRF is a
-//               faithful substitute at simulation scale).
+//               in for the shared bits. A PRF is a faithful substitute at
+//               simulation scale (util/hashing.hpp): it is computationally
+//               indistinguishable from a random function there, and tests
+//               check that it balances proxy loads like an honest d-wise
+//               independent polynomial hash.
 
 #include <cstdint>
 

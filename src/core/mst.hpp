@@ -7,7 +7,7 @@
 // sketch-restriction loop per component until the restricted sketch is
 // *verifiably empty*, so the reported edge is the exact MWOE (not merely
 // w.h.p. — the is_zero test turns the sampling loop into a Las Vegas
-// confirmation; see DESIGN.md §4).
+// confirmation).
 
 #include "core/boruvka.hpp"
 

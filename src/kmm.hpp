@@ -84,7 +84,6 @@
 #include "obs/trace_recorder.hpp"
 #include "runtime/machine_program.hpp"
 #include "runtime/outbox.hpp"
-#include "runtime/phase_timers.hpp"
 #include "runtime/runtime.hpp"
 #include "serve/cancel.hpp"
 #include "serve/query_journal.hpp"

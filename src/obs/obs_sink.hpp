@@ -13,9 +13,9 @@
 //   * timeline — a MetricsTimeline recording one row per *ledger*
 //     superstep: the ClusterStats delta (messages, bits, per-link maximum,
 //     cut bits, per-machine traffic), the handler/deliver/reduce phase
-//     nanoseconds, and the alloc-count delta. The per-run analogue of the
-//     process-wide runtime_phase_totals() aggregate (which is now a
-//     compatibility shim over the same per-step record).
+//     nanoseconds, and the alloc-count delta. It is the runtime's one
+//     record of where a run's wall time went: run totals are
+//     MetricsTimeline::totals(), and nothing else accumulates phase time.
 //   * trace    — a TraceRecorder capturing begin/end spans of handler
 //     chunks, deliver_shard_to(d) tasks, the ledger reduction, and inline
 //     control-plane steps into per-worker ring buffers, exportable as

@@ -8,7 +8,6 @@
 #include "obs/metrics_timeline.hpp"
 #include "serve/cancel.hpp"
 #include "obs/trace_recorder.hpp"
-#include "runtime/phase_timers.hpp"
 #include "util/assert.hpp"
 
 namespace kmm {
@@ -19,6 +18,12 @@ inline std::uint64_t now_ns() noexcept {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// Saturating duration between two timestamps of one clock: 0, never a
+/// ~2^64 ns phantom phase, if they arrive out of order.
+inline std::uint64_t elapsed_ns(std::uint64_t begin_ns, std::uint64_t end_ns) noexcept {
+  return end_ns >= begin_ns ? end_ns - begin_ns : 0;
 }
 }  // namespace
 
@@ -59,7 +64,6 @@ Runtime::~Runtime() = default;
 std::uint64_t Runtime::finish_step(StepMode mode, std::uint64_t handler_ns,
                                    std::uint64_t deliver_ns, std::uint64_t reduce_ns,
                                    std::uint64_t span_begin_ns, std::uint64_t rounds) {
-  add_phase_times(handler_ns, deliver_ns, reduce_ns);
   if (fault_ != nullptr && sink_.timeline != nullptr) {
     // Bank this step's injected-fault count before the row is cut so a
     // charged step's row carries its own fault events.

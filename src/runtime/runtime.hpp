@@ -65,9 +65,15 @@
 //      single-machine referee solves) pass StepMode::kInline — the barrier
 //      would cost more than the handler work, and the modes are
 //      observationally identical anyway.
-//   5. Give the public entry point a config with a `threads` field
-//      (mirroring BoruvkaConfig::threads) and build one
-//      Runtime(cluster, RuntimeConfig{config.threads}) per run.
+//   5. Give the public entry point a config that mirrors BoruvkaConfig's
+//      seam fields (threads, obs, fault, cancel, pool) and build every
+//      Runtime of the run from all of them:
+//      Runtime(cluster, RuntimeConfig{config.threads, config.obs,
+//      config.fault, config.cancel, config.pool}). A control-plane helper
+//      may lower `threads`, and one that is not checkpointable (rule 8)
+//      leaves `fault` null, but none may drop obs or cancel: a Runtime
+//      without them runs supersteps the timeline never sees and a serving
+//      budget never checks.
 //   6. Handlers must not assume inboxes are populated between shards:
 //      delivery runs as k concurrent per-destination tasks after the
 //      handler barrier, so during a step the only readable inbox state is
@@ -81,9 +87,9 @@
 //      that obeys rules 1-6 gets per-superstep metrics rows and trace spans
 //      for free through config.obs with no code of its own. What a port
 //      must NOT do: drive the Cluster's delivery plane directly between
-//      steps (the delivery escapes both the timeline row and the phase
-//      timers), busy-loop inside a handler waiting on cross-machine state
-//      (a handler span is assumed to be pure local compute), or hold a
+//      steps (the delivery escapes the timeline row), busy-loop inside a
+//      handler waiting on cross-machine state (a handler span is assumed
+//      to be pure local compute), or hold a
 //      pointer to the obs sinks' output mid-run (rows and rings
 //      reallocate/wrap). Analytic Cluster::charge_rounds() between steps is
 //      fine — the timeline folds the charge into the next recorded row.
@@ -286,8 +292,8 @@ class Runtime {
   std::uint64_t run(MachineProgram& program, std::uint64_t max_supersteps = 1u << 20);
 
  private:
-  /// Feed one finished step's phase durations to every consumer: the
-  /// process-wide phase totals (always) and the attached sinks (when any).
+  /// Feed one finished step's phase durations to the attached sinks (if
+  /// any); the timeline row is the only record of a step's wall time.
   std::uint64_t finish_step(StepMode mode, std::uint64_t handler_ns,
                             std::uint64_t deliver_ns, std::uint64_t reduce_ns,
                             std::uint64_t span_begin_ns, std::uint64_t rounds);

@@ -12,7 +12,8 @@
 //  * PrfHash — a SplitMix64-based PRF standing in for the shared hash in the
 //    algorithms themselves. Computationally indistinguishable from a random
 //    function at simulation scales; the *communication* cost of sharing the
-//    seed is still charged via cluster::SharedRandomness (see DESIGN.md §1).
+//    seed is still charged via cluster::SharedRandomness (Section 2.2's
+//    relay), and tests check its load balance against PolynomialHash.
 
 #include <bit>
 #include <cstdint>

@@ -7,7 +7,8 @@
 //
 // SplitMix64 doubles as a cheap PRF: split(seed, key) is used wherever the
 // paper assumes a shared hash function evaluated on component labels or edge
-// ids (see DESIGN.md §1 on the d-wise-independence substitution).
+// ids; util/hashing.hpp explains why a PRF may stand in for the paper's
+// d-wise independent family.
 
 #include <cstdint>
 

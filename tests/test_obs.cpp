@@ -120,11 +120,23 @@ TEST(ObsPlane, SequentialRuntimesConcatenateOnOneTimeline) {
   const std::size_t rows_after_mst = timeline.size();
   const auto strict = announce_mst_to_home_machines(cluster, dg, mst, 2, &sink);
   EXPECT_FALSE(strict.edges_by_home.empty());
+  const std::size_t rows_after_announce = timeline.size();
+  EXPECT_GT(rows_after_announce, rows_after_mst);
 
-  // The announce pass appended its charged supersteps to the same timeline
-  // and the sum still reproduces the cluster-lifetime ledger.
+  // The four verifiers that finish with a label comparison: their
+  // control-plane supersteps must land on the same timeline too.
+  const WeightedEdge e0 = g.edges()[0];
+  const WeightedEdge e1 = g.edges()[1];
+  (void)verify_st_connectivity(cluster, dg, 0, static_cast<Vertex>(n - 1), cfg);
+  (void)verify_edge_on_all_paths(cluster, dg, e0.u, e0.v, e0.u, e0.v, cfg);
+  (void)verify_st_cut(cluster, dg, e1.u, e1.v, {{e0.u, e0.v}, {e1.u, e1.v}}, cfg);
+  (void)verify_e_cycle_containment(cluster, dg, e1.u, e1.v, cfg);
+
+  // The announce pass and the verifiers appended their charged supersteps
+  // to the same timeline and the sum still reproduces the cluster-lifetime
+  // ledger.
   const ClusterStats& s = cluster.stats();
-  EXPECT_GT(timeline.size(), rows_after_mst);
+  EXPECT_GT(timeline.size(), rows_after_announce);
   EXPECT_EQ(timeline.size(), s.supersteps);
   const auto total = timeline.totals();
   EXPECT_EQ(total.rounds, s.rounds);
@@ -348,44 +360,6 @@ TEST(ObsPlane, TopTrafficSummaryRanksHeaviestMachines) {
   EXPECT_EQ(top_recv[0].machine, 0u);
   // Only one machine received anything; the summary pads with zero rows.
   EXPECT_EQ(top_recv[1].bits, 0u);
-}
-
-// ------------------------------------------------------ phase-totals shim
-
-TEST(ObsPlane, PhaseTotalsSubtractionSaturates) {
-  const RuntimePhaseTotals before{100, 200, 300};
-  const RuntimePhaseTotals after{150, 260, 300};
-  const RuntimePhaseTotals d = after - before;
-  EXPECT_EQ(d.handler_ns, 50u);
-  EXPECT_EQ(d.deliver_ns, 60u);
-  EXPECT_EQ(d.reduce_ns, 0u);
-  EXPECT_EQ(d.total_ns(), 110u);
-
-  // Swapped operands saturate to zero instead of wrapping to ~2^64.
-  const RuntimePhaseTotals swapped = before - after;
-  EXPECT_EQ(swapped.handler_ns, 0u);
-  EXPECT_EQ(swapped.deliver_ns, 0u);
-  EXPECT_EQ(swapped.reduce_ns, 0u);
-  EXPECT_EQ(elapsed_ns(10, 4), 0u);
-  EXPECT_EQ(elapsed_ns(4, 10), 6u);
-}
-
-TEST(ObsPlane, PhaseTotalsShimStillAccumulates) {
-  const MachineId k = 4;
-  Cluster cluster(ClusterConfig{k, 64});
-  MetricsTimeline timeline(full_res());
-  const ObsSink sink{&timeline, nullptr};
-  Runtime rt(cluster, RuntimeConfig{2, &sink});
-  const RuntimePhaseTotals before = runtime_phase_totals();
-  for (int s = 0; s < 5; ++s) ring_step(rt);
-  const RuntimePhaseTotals delta = runtime_phase_totals() - before;
-  // The shim and the timeline observe the same five steps: the timeline's
-  // summed phase columns equal the global-counter delta.
-  ASSERT_EQ(timeline.size(), 5u);
-  const auto total = timeline.totals();
-  EXPECT_EQ(total.handler_ns, delta.handler_ns);
-  EXPECT_EQ(total.deliver_ns, delta.deliver_ns);
-  EXPECT_EQ(total.reduce_ns, delta.reduce_ns);
 }
 
 }  // namespace

@@ -6,18 +6,21 @@
 //  1. sketch-merge plane — a synthetic proxy inbox: L component labels, each
 //     receiving one serialized part-sketch from each of `kParts` machines per
 //     iteration. The merge loop is exactly the engine's proxy-side summation
-//     (label lookup -> accumulator -> cell-wise add of the serialized words);
-//     reported as merge words/s and allocations/iteration, measured after a
-//     warmup so capacity-retaining structures are warm.
+//     (sort the inbox by label -> reset the one sampler per label ->
+//     cell-wise add of the serialized words); reported as merge words/s and
+//     allocations/iteration, measured after a warmup so capacity-retaining
+//     structures are warm.
 //
 //  2. full engine — connectivity and MST runs with allocations/superstep,
-//     the end-to-end number the registry/pool rework moves.
+//     the end-to-end number the registry rework moves.
 //
 // Compare against bench/baselines/BENCH_boruvka_hotpath.pre-registry.json
 // (captured from the std::map + per-message-deserialize representation).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -64,35 +67,32 @@ std::vector<std::vector<std::uint64_t>> build_inbox(const GraphSketchBuilder& bu
   return inbox;
 }
 
-/// One proxy-side merge pass over the inbox — the registry representation:
-/// pooled accumulators behind a flat LabelRegistry, each incoming sketch's
-/// cells added wire-level via add_serialized (no per-message deserialize).
+/// One proxy-side merge pass over the inbox — the engine's representation:
+/// the inbox sorted by label into a capacity-retaining scratch vector, and
+/// each label's sketches added wire-level via add_serialized into one reset
+/// sampler (no per-message deserialize, no per-label accumulator).
 MergeRow run_merge(const GraphSketchBuilder& builder,
                    const std::vector<std::vector<std::uint64_t>>& inbox) {
   MergeRow row;
   std::size_t total_words = 0;
   for (const auto& msg : inbox) total_words += msg.size() - 1;
 
-  LabelRegistry<std::uint32_t> sums;
-  sums.reset_universe(kLabels);
-  SketchPool pool;
+  L0Sampler sum = builder.empty_sketch();
+  std::vector<std::pair<Label, std::uint32_t>> order;
 
   const auto iteration = [&]() {
-    sums.clear();
-    pool.release_all();
-    for (const auto& msg : inbox) {
-      WordReader r(msg);
-      const Label label = r.u64();
-      bool created = false;
-      std::uint32_t& idx = sums.get_or_create(label, created);
-      if (created) {
-        idx = pool.acquire_index(builder.universe(), builder.params(), builder.seed());
+    order.clear();
+    for (std::uint32_t m = 0; m < inbox.size(); ++m) order.emplace_back(inbox[m][0], m);
+    std::sort(order.begin(), order.end());
+    for (auto next = order.begin(); next != order.end();) {
+      const Label label = next->first;
+      sum.reset(builder.seed());
+      for (; next != order.end() && next->first == label; ++next) {
+        WordReader r(std::span<const std::uint64_t>{inbox[next->second]}.subspan(1));
+        sum.add_serialized(r);
       }
-      pool.at(idx).add_serialized(r);
+      row.checksum += sum.is_zero() ? 0 : 1 + label;
     }
-    sums.for_each_sorted([&](Label label, std::uint32_t idx) {
-      row.checksum += pool.at(idx).is_zero() ? 0 : 1 + label;
-    });
   };
 
   for (std::size_t i = 0; i < kWarmupIters; ++i) iteration();

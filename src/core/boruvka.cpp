@@ -78,18 +78,17 @@ BoruvkaEngine::BoruvkaEngine(Cluster& cluster, const DistributedGraph& dg,
   machine_parts_.resize(k);
   resend_.resize(k);
   proxy_records_.resize(k);
-  sum_slots_.resize(k);
-  sketch_pool_.resize(k);
   for (MachineId i = 0; i < k; ++i) {
     machine_parts_[i].reset_universe(n_);
     resend_[i].reset_universe(n_);
     proxy_records_[i].reset_universe(n_);
-    sum_slots_[i].reset_universe(n_);
   }
+  sampler_.assign(k, SamplerSlot{builder_.empty_sketch()});
   writer_.resize(k);
   mask_scratch_.assign(k, std::vector<std::uint64_t>(mask_words()));
   power_scratch_.resize(k);
   label_scratch_.resize(k);
+  sketch_order_.resize(k);
   seen_scratch_.assign(n_, 0);
   labels_.resize(n_);
   for (Vertex v = 0; v < n_; ++v) {
@@ -311,8 +310,7 @@ void BoruvkaEngine::advance_past_broadcast(Cursor& c, bool any) const {
 // threshold in MST mode) and, from the second iteration on, hands its proxy
 // records off to the fresh proxy generation. Sketch construction is the
 // engine's dominant local computation — the handlers below are where
-// threads > 1 pays. One pooled sampler per machine absorbs every part
-// sketch of the iteration.
+// threads > 1 pays. The machine's one sampler is reset for each part.
 void BoruvkaEngine::sketch_parts(MachineId i, Outbox& out) {
   const Cursor& c = machines_[i].cursor;
   if (c.t == 0) {
@@ -335,9 +333,8 @@ void BoruvkaEngine::sketch_parts(MachineId i, Outbox& out) {
   resend_[i].for_each_sorted([&](Label label, Weight thr) {
     const Part* part = machine_parts_[i].find(label);
     KMM_CHECK(part != nullptr);
-    auto& pool = sketch_pool_[i];
-    pool.release_all();
-    L0Sampler& sketch = pool.acquire(builder.universe(), builder.params(), builder.seed());
+    L0Sampler& sketch = sampler_[i].sampler;
+    sketch.reset(builder.seed());
     builder.accumulate_part(*dg_, part->verts, thr, sketch, power_scratch_[i]);
     // Wire forms vary in length with the sketch's live depth; reserving
     // the longest keeps the reused writer from growing in steady state.
@@ -353,31 +350,30 @@ void BoruvkaEngine::sketch_parts(MachineId i, Outbox& out) {
 }
 
 // Proxy side: apply handoffs first so records exist before this iteration's
-// sketches are merged, then sum per-label sketches and run the state
-// transitions on the combined result. Incoming sketches are merged
-// wire-level: each copy's live cells add straight off the payload into a
-// pooled accumulator (add_serialized) — no per-message deserialize. The
-// accumulators' seed comes from the cursor, so a replay merges exactly what
-// the live step did.
+// sketches are merged, then sum each label's sketches and run its state
+// transition on the combined result. Sketches are linear, so the machine's
+// one sampler suffices: the sketch messages are sorted by label, and for
+// each label the sampler is reset and its sketches are merged wire-level —
+// each copy's live cells add straight off the payload (add_serialized), no
+// per-message deserialize. Labels run in ascending order, the wire order the
+// ledger pins. The seed comes from the cursor, so a replay merges exactly
+// what the live step did.
 void BoruvkaEngine::merge_sketches(MachineId i, std::span<const Message> inbox,
                                    Outbox& out) {
   const Cursor& c = machines_[i].cursor;
   const std::uint64_t sketch_seed = shared_.seed(c.phase, c.t, seed_purpose::kSketch);
-  const GraphSketchBuilder& shape = builder_;  // universe, params, decode
   for (const auto& msg : inbox) {
     if (msg.tag == kTagHandoff) {
       WordReader r(msg.payload());
       read_record(r, proxy_records_[i]);
     }
   }
-  auto& sums = sum_slots_[i];
-  auto& pool = sketch_pool_[i];
-  sums.clear();
-  pool.release_all();
-  for (const auto& msg : inbox) {
+  auto& order = sketch_order_[i];
+  order.clear();
+  for (std::uint32_t m = 0; m < inbox.size(); ++m) {
+    const Message& msg = inbox[m];
     if (msg.tag != kTagSketch) continue;
-    WordReader r(msg.payload());
-    const Label label = r.u64();
+    const Label label = WordReader(msg.payload()).u64();
     bool created = false;
     Record& rec = proxy_records_[i].get_or_create(label, created);
     if (created) {
@@ -385,16 +381,18 @@ void BoruvkaEngine::merge_sketches(MachineId i, std::span<const Message> inbox,
       rec.parent = label;
     }
     mask_set(rec.srcs, msg.src);
-    bool sum_created = false;
-    std::uint32_t& sum_idx = sums.get_or_create(label, sum_created);
-    if (sum_created) sum_idx = pool.acquire_index(shape.universe(), shape.params(), sketch_seed);
-    pool.at(sum_idx).add_serialized(r);
+    order.emplace_back(label, m);
   }
+  std::sort(order.begin(), order.end());
 
-  // State transitions for components whose combined sketch arrived, in
-  // ascending label order (the wire order the ledger pins).
-  sums.for_each_sorted([&](Label label, std::uint32_t sum_idx) {
-    L0Sampler& sum = pool.at(sum_idx);
+  L0Sampler& sum = sampler_[i].sampler;
+  for (auto next = order.begin(); next != order.end();) {
+    const Label label = next->first;
+    sum.reset(sketch_seed);
+    for (; next != order.end() && next->first == label; ++next) {
+      WordReader r(inbox[next->second].payload().subspan(1));  // past the label
+      sum.add_serialized(r);
+    }
     Record& rec = proxy_records_[i].at(label);
     KMM_CHECK(rec.state == kSearching);
     if (sum.is_zero()) {
@@ -409,7 +407,7 @@ void BoruvkaEngine::merge_sketches(MachineId i, std::span<const Message> inbox,
           out.send(m, kTagDirective, {label, kDirectiveFinished, 0}, label_bits_ + 2);
         });
       }
-      return;
+      continue;
     }
     const auto sampled = sum.sample();
     if (!sampled) {
@@ -418,9 +416,9 @@ void BoruvkaEngine::merge_sketches(MachineId i, std::span<const Message> inbox,
       mask_for_each(rec.srcs, [&](MachineId m) {
         out.send(m, kTagDirective, {label, kDirectiveContinue, rec.thr}, label_bits_ + 66);
       });
-      return;
+      continue;
     }
-    const auto [x, y] = shape.decode(sampled->index);
+    const auto [x, y] = builder_.decode(sampled->index);
     rec.cand_in = sampled->value > 0 ? x : y;
     rec.cand_out = sampled->value > 0 ? y : x;
     rec.has_candidate = true;
@@ -433,7 +431,7 @@ void BoruvkaEngine::merge_sketches(MachineId i, std::span<const Message> inbox,
       out.send(dg_->home(rec.cand_in), kTagWeightQuery, {label, rec.cand_in, rec.cand_out},
                3 * label_bits_);
     }
-  });
+  }
 }
 
 // SS2: home machines answer queries; part machines apply directives issued

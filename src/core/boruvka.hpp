@@ -41,19 +41,21 @@
 //    reproduces the ordered-map ascending-label order exactly (the golden
 //    ledger in tests/test_golden_stats.cpp pins this); order-independent
 //    scans use the cheaper for_each();
-//  * registries, sketch pools (SketchPool), WordWriters, and all scratch
-//    vectors are machine-indexed members — a handler touches only slot i,
-//    which is what makes the handlers race-free without locks;
+//  * registries, the one L0Sampler per machine, WordWriters, and all
+//    scratch vectors are machine-indexed members — a handler touches only
+//    slot i, which is what makes the handlers race-free without locks;
 //  * cleared containers retain capacity (registry clear() recycles slots
 //    with their payload storage; Record::reset re-assigns the machine mask
 //    in place), so iteration t+1 reuses iteration t's memory: after warmup
 //    an elimination iteration performs zero heap allocations
 //    (tests/test_alloc_steady_state.cpp and bench_boruvka_hotpath measure
 //    this);
-//  * incoming sketches are merged wire-level — L0Sampler::add_serialized
-//    adds each copy's live prefix of 3-word cells (the prefix-truncated
-//    wire form) straight off the message payload into a pooled
-//    accumulator; no per-message sketch is ever materialized. Payloads
+//  * incoming sketches are merged wire-level, one label at a time — the
+//    proxy sorts its sketch messages by label, resets the machine's one
+//    sampler per label, and L0Sampler::add_serialized adds each copy's
+//    live prefix of 3-word cells (the prefix-truncated wire form) straight
+//    off the message payload into it; no per-message sketch is ever
+//    materialized and no per-label accumulator outlives its label. Payloads
 //    vary in length, so the per-machine writer reserves the longest form
 //    (L0Sampler::max_serialized_words) and never grows in steady state.
 //    The ledger charges L0Sampler::wire_bits(), the dense logical size.
@@ -70,6 +72,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -80,7 +83,7 @@
 #include "core/label_registry.hpp"
 #include "runtime/runtime.hpp"
 #include "sketch/graph_sketch.hpp"
-#include "sketch/sketch_pool.hpp"
+#include "sketch/l0_sampler.hpp"
 
 namespace kmm {
 
@@ -324,12 +327,14 @@ class BoruvkaEngine final : public MachineProgram {
   // Proxy-side records for the current proxy generation.
   std::vector<LabelRegistry<Record>> proxy_records_;
 
-  // Per-superstep proxy accumulators: label -> pooled sketch index; lives
-  // only within the proxy handler of one elimination iteration.
-  std::vector<LabelRegistry<std::uint32_t>> sum_slots_;
-  // Recycled L0Sampler storage: SS1 part sketches and proxy-side sums both
-  // draw zeroed accumulators from here instead of constructing sketches.
-  std::vector<SketchPool> sketch_pool_;
+  // The machine's one sampler: reset for each SS1 part sketch and for each
+  // label's proxy-side sum in turn. A slot fills its own cache line because
+  // every update writes the live depths, and handlers of neighbouring
+  // machines run on different threads.
+  struct alignas(64) SamplerSlot {
+    L0Sampler sampler;
+  };
+  std::vector<SamplerSlot> sampler_;
   // One builder for the whole run, rebound per iteration by the driver;
   // read-only inside handlers. Only the sketch step reads its power tables;
   // other handlers use its seed-free shape (universe, params, decode).
@@ -342,6 +347,9 @@ class BoruvkaEngine final : public MachineProgram {
   std::vector<std::vector<std::uint64_t>> mask_scratch_;   // child-src masks
   std::vector<std::vector<std::uint64_t>> power_scratch_;  // fingerprint powers
   std::vector<std::vector<Label>> label_scratch_;  // finished/merged/count lists
+  // Proxy side: (label, inbox index) of each sketch message, sorted so that
+  // each label's sketches merge in one run, in ascending label order.
+  std::vector<std::vector<std::pair<Label, std::uint32_t>>> sketch_order_;
   std::vector<char> seen_scratch_;  // per-vertex marks for label counting
 
   BoruvkaResult result_;

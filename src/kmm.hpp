@@ -92,7 +92,6 @@
 #include "sketch/graph_sketch.hpp"
 #include "sketch/l0_sampler.hpp"
 #include "sketch/one_sparse.hpp"
-#include "sketch/sketch_pool.hpp"
 #include "util/atomic_file.hpp"
 #include "util/crc64.hpp"
 #include "util/expected.hpp"

@@ -32,7 +32,7 @@
 // clamped to k (more workers than machines cannot help).
 //
 // ---------------------------------------------------------------------------
-// Porting recipe: Cluster loop -> SuperstepFn
+// Porting recipe: Cluster loop -> superstep handlers
 //
 // Every algorithm in src/core/ used to be written as the classic sequential
 // pattern
@@ -46,7 +46,7 @@
 // MachineProgram with a phase cursor) is:
 //
 //   1. Each "for each machine: compute + send" loop body becomes one
-//      SuperstepFn handler: rt.step([&](MachineId i, inbox, out) {...}).
+//      handler lambda: rt.step([&](MachineId i, inbox, out) {...}).
 //      The handler sends through `out` (src is pinned to i); the Outbox is
 //      the only way to send, and the step's trailing delivery replaces the
 //      explicit "deliver everything".
@@ -116,7 +116,7 @@
 //      QueryCancelled through step() and out of the program's driving code,
 //      so a MachineProgram must satisfy two obligations to be servable:
 //      (a) every resource a run acquires must be released by unwinding —
-//          keep engine state (registries, sketch pools, arenas, scratch) in
+//          keep engine state (registries, samplers, arenas, scratch) in
 //          RAII members of a stack-local engine/driver and register
 //          cross-object attachments through scopes; never leak a raw
 //          registration that outlives the throw;
@@ -163,7 +163,6 @@
 
 #include <concepts>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -219,11 +218,6 @@ struct RuntimeConfig {
 /// hardware concurrency, then the result is clamped to [1, k]. Exposed so
 /// CLIs and benches can report the effective concurrency of a run.
 [[nodiscard]] unsigned resolve_threads(unsigned requested, MachineId k);
-
-/// Signature of an ad-hoc superstep handler (see Runtime::step overload).
-/// The templated step() accepts any callable with this shape directly — a
-/// std::function is never materialized on the hot path.
-using SuperstepFn = std::function<void(MachineId, std::span<const Message>, Outbox&)>;
 
 namespace detail {
 

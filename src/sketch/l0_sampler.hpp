@@ -82,8 +82,9 @@ class L0Sampler {
   /// Rejects (KMM_CHECK) a depth word greater than `levels`.
   void add_serialized(WordReader& reader);
 
-  /// Re-zero the live cells and rebind to `seed`, retaining cell storage —
-  /// the SketchPool recycling hook (universe/params stay fixed).
+  /// Re-zero the live cells and rebind to `seed`, retaining cell storage
+  /// (universe/params stay fixed) — how the Borůvka engine reuses one
+  /// sampler per machine for every part sketch and proxy-side sum.
   void reset(std::uint64_t seed) noexcept;
 
   /// Recover some nonzero index, or nullopt if the vector appears empty /

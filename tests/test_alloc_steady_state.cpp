@@ -6,15 +6,19 @@
 // as its own test with a plain main().
 //
 // What it asserts: one steady-state Borůvka elimination iteration — builder
-// rebind, part sketching into a pooled accumulator with caller scratch,
-// serialization into a reused WordWriter, proxy-side wire-level merging
-// into pooled sums behind a LabelRegistry, and the sample/is_zero state
-// transitions — performs ZERO heap allocations once the capacity-retaining
-// structures are warm. This is the compute-plane analogue of the message
-// plane's 0 allocs/superstep (PR 3); bench_boruvka_hotpath reports the same
-// quantity with throughput numbers against the checked-in baseline.
+// rebind, part sketching into a reused sampler with caller scratch,
+// serialization into a reused WordWriter, the proxy-side sort of the inbox
+// by label, wire-level merging of each label's sketches into that one reset
+// sampler, and the sample/is_zero state transitions — performs ZERO heap
+// allocations once the capacity-retaining structures are warm. This is the
+// compute-plane analogue of the message plane's 0 allocs/superstep;
+// bench_boruvka_hotpath reports the same quantity with throughput numbers
+// against the checked-in baseline. The full-engine section also bounds the
+// peak heap per vertex of a whole connectivity run.
 
+#include <algorithm>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -48,49 +52,44 @@ int failures = 0;
 /// exactly the containers and calls the engine's hot path uses.
 void run_iteration(GraphSketchBuilder& builder, const DistributedGraph& dg,
                    std::uint64_t seed, const std::vector<std::vector<Vertex>>& parts,
-                   SketchPool& home_pool, SketchPool& proxy_pool, WordWriter& writer,
+                   L0Sampler& sampler, WordWriter& writer,
                    std::vector<std::uint64_t>& power_scratch,
                    std::vector<std::vector<std::uint64_t>>& wire,
-                   LabelRegistry<std::uint32_t>& sums, std::uint64_t* sink) {
+                   std::vector<std::pair<Label, std::uint32_t>>& order, std::uint64_t* sink) {
   builder.rebind(seed);
 
-  // Home side: sketch each part into a pooled accumulator, serialize into
-  // the reused writer, "send" by copying into the wire buffers (stand-in
-  // for the already allocation-free message plane; the writer and buffers
-  // are pre-sized to the longest wire form, as the engine's writers are).
+  // Home side: sketch each part into the reset sampler, serialize into the
+  // reused writer, "send" by copying into the wire buffers (stand-in for the
+  // already allocation-free message plane; the writer and buffers are
+  // pre-sized to the longest wire form, as the engine's writers are).
   for (std::size_t label = 0; label < kLabels; ++label) {
     for (std::size_t p = 0; p < kParts; ++p) {
-      home_pool.release_all();
-      L0Sampler& sketch =
-          home_pool.acquire(builder.universe(), builder.params(), builder.seed());
-      builder.accumulate_part(dg, parts[label * kParts + p], kNoWeightLimit, sketch,
+      sampler.reset(builder.seed());
+      builder.accumulate_part(dg, parts[label * kParts + p], kNoWeightLimit, sampler,
                               power_scratch);
       writer.clear();
       writer.u64(label);
-      sketch.serialize(writer);
+      sampler.serialize(writer);
       auto& slot = wire[label * kParts + p];
       slot.assign(writer.words().begin(), writer.words().end());
     }
   }
 
-  // Proxy side: wire-level merge into pooled sums, then transitions.
-  sums.clear();
-  proxy_pool.release_all();
-  for (const auto& msg : wire) {
-    WordReader r(msg);
-    const Label label = r.u64();
-    bool created = false;
-    std::uint32_t& idx = sums.get_or_create(label, created);
-    if (created) {
-      idx = proxy_pool.acquire_index(builder.universe(), builder.params(), builder.seed());
+  // Proxy side: sort the inbox by label, merge each label's sketches
+  // wire-level into the reset sampler, then run its transition.
+  order.clear();
+  for (std::uint32_t m = 0; m < wire.size(); ++m) order.emplace_back(wire[m][0], m);
+  std::sort(order.begin(), order.end());
+  for (auto next = order.begin(); next != order.end();) {
+    const Label label = next->first;
+    sampler.reset(builder.seed());
+    for (; next != order.end() && next->first == label; ++next) {
+      WordReader r(std::span<const std::uint64_t>{wire[next->second]}.subspan(1));
+      sampler.add_serialized(r);
     }
-    proxy_pool.at(idx).add_serialized(r);
+    if (sampler.is_zero()) continue;
+    if (const auto rec = sampler.sample()) *sink += rec->index + label;
   }
-  sums.for_each_sorted([&](Label label, std::uint32_t idx) {
-    L0Sampler& sum = proxy_pool.at(idx);
-    if (sum.is_zero()) return;
-    if (const auto rec = sum.sample()) *sink += rec->index + label;
-  });
 }
 
 }  // namespace
@@ -110,28 +109,27 @@ int main() {
   }
 
   GraphSketchBuilder builder(kN, /*seed=*/1);
-  SketchPool home_pool, proxy_pool;
+  L0Sampler sampler = builder.empty_sketch();
   // Sketch payloads vary in length with the live depth: one label word plus
   // at most copies depth words and 3 words per cell.
-  const std::size_t max_payload = 1 + builder.empty_sketch().max_serialized_words();
+  const std::size_t max_payload = 1 + sampler.max_serialized_words();
   WordWriter writer;
   writer.reserve(max_payload);
   std::vector<std::uint64_t> power_scratch;
   std::vector<std::vector<std::uint64_t>> wire(kLabels * kParts);
   for (auto& slot : wire) slot.reserve(max_payload);
-  LabelRegistry<std::uint32_t> sums;
-  sums.reset_universe(kLabels);
+  std::vector<std::pair<Label, std::uint32_t>> order;
   std::uint64_t sink = 0;
 
   for (int it = 0; it < kWarmupIters; ++it) {
-    run_iteration(builder, dg, 100 + static_cast<std::uint64_t>(it), parts, home_pool,
-                  proxy_pool, writer, power_scratch, wire, sums, &sink);
+    run_iteration(builder, dg, 100 + static_cast<std::uint64_t>(it), parts, sampler, writer,
+                  power_scratch, wire, order, &sink);
   }
 
   const auto a0 = alloc_count();
   for (int it = 0; it < kMeasureIters; ++it) {
-    run_iteration(builder, dg, 200 + static_cast<std::uint64_t>(it), parts, home_pool,
-                  proxy_pool, writer, power_scratch, wire, sums, &sink);
+    run_iteration(builder, dg, 200 + static_cast<std::uint64_t>(it), parts, sampler, writer,
+                  power_scratch, wire, order, &sink);
   }
   const auto steady_allocs = alloc_count() - a0;
   EXPECT_ZERO(steady_allocs, "steady-state sketch-plane allocations");
@@ -139,8 +137,8 @@ int main() {
               kMeasureIters, static_cast<unsigned long long>(steady_allocs),
               static_cast<unsigned long long>(sink));
 
-  // Full-engine regression guard: the registry/pool representation must
-  // keep allocations-per-superstep far below the pre-registry ~290 (see
+  // Full-engine regression guard: the registry representation must keep
+  // allocations-per-superstep far below the pre-registry ~290 (see
   // bench/baselines/BENCH_boruvka_hotpath.pre-registry.json). The bound is
   // loose — it catches representation regressions, not stdlib noise.
   {
@@ -159,9 +157,43 @@ int main() {
                 static_cast<unsigned long long>(engine_allocs),
                 static_cast<unsigned long long>(res.stats.supersteps), per_superstep);
     if (per_superstep > 100.0) {
-      std::printf("FAIL: allocations per superstep %.1f > 100 — registry/pool "
+      std::printf("FAIL: allocations per superstep %.1f > 100 — registry "
                   "representation regressed\n",
                   per_superstep);
+      ++failures;
+    }
+  }
+
+  // Full-engine peak heap: with one sampler per machine the proxy side holds
+  // O(1) accumulators, not one per label in its inbox, so a connectivity
+  // run's heap high-water mark (graph, shards, engine state and all) stays
+  // a small constant per vertex. One live accumulator per label measured
+  // 3,769 B/vertex here; one per machine 1,761 B/vertex.
+  {
+    constexpr std::size_t kPeakN = 4096;
+    constexpr double kMaxBytesPerVertex = 2500.0;
+    kmmbench::reset_peak_heap();
+    const auto base = kmmbench::heap_bytes();
+    {
+      Rng grng(31);
+      const Graph eg = gen::gnm(kPeakN, 3 * kPeakN, grng);
+      Cluster cluster(ClusterConfig::for_graph(kPeakN, 8));
+      const DistributedGraph edg(eg, VertexPartition::random(kPeakN, 8, 37));
+      BoruvkaConfig cfg;
+      cfg.seed = 41;
+      if (!connected_components(cluster, edg, cfg).converged) {
+        std::printf("FAIL: peak-heap run did not converge\n");
+        ++failures;
+      }
+    }
+    const double per_vertex = static_cast<double>(kmmbench::peak_heap_bytes() - base) /
+                              static_cast<double>(kPeakN);
+    std::printf("full engine: peak heap %.0f B/vertex (n=%zu, k=8; bound %.0f)\n",
+                per_vertex, kPeakN, kMaxBytesPerVertex);
+    if (per_vertex > kMaxBytesPerVertex) {
+      std::printf("FAIL: peak heap %.0f B/vertex > %.0f — per-label sketch "
+                  "accumulators are back\n",
+                  per_vertex, kMaxBytesPerVertex);
       ++failures;
     }
   }

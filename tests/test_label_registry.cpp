@@ -1,7 +1,8 @@
-// LabelRegistry + SketchPool integrity: slot recycling across occupants,
-// sorted touched-list iteration, capacity retention, pool reuse, builder
-// rebinding — and determinism of the registry-backed Borůvka engine across
-// thread counts {1, 2, 8}.
+// LabelRegistry integrity: slot recycling across occupants, sorted
+// touched-list iteration, capacity retention; L0Sampler::reset reuse and
+// builder rebinding — and determinism of the registry-backed Borůvka engine
+// (labels, forest and MST edge lists, sampler retries, ledger) across thread
+// counts {1, 2, 8}.
 
 #include <gtest/gtest.h>
 
@@ -136,41 +137,25 @@ TEST(LabelRegistry, ResetUniverseEmptiesAndResizes) {
   EXPECT_EQ(reg.size(), 1u);
 }
 
-TEST(SketchPool, RecyclesStorageAndZeroes) {
+TEST(L0SamplerReset, RecyclesStorageAndZeroes) {
   const std::uint64_t universe = 1 << 16;
   const auto params = L0Params::for_universe(universe);
-  SketchPool pool;
+  L0Sampler sampler(universe, params, 11);
+  sampler.update(42, 1);
+  EXPECT_FALSE(sampler.is_zero());
 
-  L0Sampler& first = pool.acquire(universe, params, 11);
-  first.update(42, 1);
-  EXPECT_FALSE(first.is_zero());
-  const L0Sampler* address = &first;
-  EXPECT_EQ(pool.in_use(), 1u);
-
-  pool.release_all();
-  EXPECT_EQ(pool.in_use(), 0u);
-  EXPECT_EQ(pool.capacity(), 1u);
-
-  // Same shape, new seed: same object recycled, zeroed, rebound.
-  L0Sampler& second = pool.acquire(universe, params, 13);
-  EXPECT_EQ(&second, address);
-  EXPECT_TRUE(second.is_zero());
-  EXPECT_EQ(second.seed(), 13u);
+  // Same object, new seed: zeroed and rebound.
+  sampler.reset(13);
+  EXPECT_TRUE(sampler.is_zero());
+  EXPECT_EQ(sampler.seed(), 13u);
+  WordWriter reset_words, fresh_words;
+  sampler.serialize(reset_words);
+  L0Sampler(universe, params, 13).serialize(fresh_words);
+  EXPECT_EQ(std::move(reset_words).take(), std::move(fresh_words).take());
 }
 
-TEST(SketchPool, StablePointersAcrossGrowth) {
-  const std::uint64_t universe = 1 << 12;
-  const auto params = L0Params::for_universe(universe);
-  SketchPool pool;
-  const std::uint32_t a = pool.acquire_index(universe, params, 1);
-  L0Sampler* pa = &pool.at(a);
-  for (int i = 0; i < 50; ++i) (void)pool.acquire_index(universe, params, 2);
-  EXPECT_EQ(&pool.at(a), pa);  // growth must not move live accumulators
-  EXPECT_EQ(pool.in_use(), 51u);
-}
-
-TEST(SketchPool, PooledAccumulatorMatchesFreshSketch) {
-  // acquire -> accumulate must equal a from-scratch sketch, across recycling.
+TEST(L0SamplerReset, ResetAccumulatorMatchesFreshSketch) {
+  // reset -> accumulate must equal a from-scratch sketch, across reuse.
   const std::size_t n = 64;
   Rng rng(3);
   const Graph g = gen::gnm(n, 3 * n, rng);
@@ -179,17 +164,16 @@ TEST(SketchPool, PooledAccumulatorMatchesFreshSketch) {
   std::vector<Vertex> part(n / 2);
   std::iota(part.begin(), part.end(), 0);
 
-  SketchPool pool;
+  L0Sampler reused = builder.empty_sketch();
   std::vector<std::uint64_t> scratch;
   for (int round = 0; round < 3; ++round) {
-    pool.release_all();
-    L0Sampler& pooled = pool.acquire(builder.universe(), builder.params(), builder.seed());
-    builder.accumulate_part(dg, part, kNoWeightLimit, pooled, scratch);
+    reused.reset(builder.seed());
+    builder.accumulate_part(dg, part, kNoWeightLimit, reused, scratch);
     const L0Sampler fresh = builder.sketch_part(dg, part);
-    WordWriter wp, wf;
-    pooled.serialize(wp);
+    WordWriter wr, wf;
+    reused.serialize(wr);
     fresh.serialize(wf);
-    EXPECT_EQ(std::move(wp).take(), std::move(wf).take());
+    EXPECT_EQ(std::move(wr).take(), std::move(wf).take());
   }
 }
 
@@ -224,6 +208,7 @@ struct EngineRun {
   std::uint64_t components = 0;
   std::vector<std::pair<Vertex, Vertex>> forest;
   std::vector<WeightedEdge> mst;
+  std::uint64_t sampler_retries = 0;
   RunStats stats;
 };
 
@@ -235,8 +220,8 @@ EngineRun run_engine(const Graph& g, bool mst, unsigned threads) {
   cfg.threads = threads;
   const BoruvkaResult res = mst ? minimum_spanning_forest(cluster, dg, cfg)
                                 : connected_components(cluster, dg, cfg);
-  return EngineRun{res.labels, res.num_components, res.forest_edges(), res.mst_edges(),
-                   res.stats};
+  return EngineRun{res.labels,      res.num_components,  res.forest_edges(),
+                   res.mst_edges(), res.sampler_retries, res.stats};
 }
 
 TEST(RegistryEngine, ThreadCountInvariance) {
@@ -251,7 +236,8 @@ TEST(RegistryEngine, ThreadCountInvariance) {
       EXPECT_EQ(run.labels, base.labels) << "mst=" << mst << " threads=" << threads;
       EXPECT_EQ(run.components, base.components);
       EXPECT_EQ(run.forest, base.forest);
-      EXPECT_EQ(run.mst.size(), base.mst.size());
+      EXPECT_EQ(run.mst, base.mst);
+      EXPECT_EQ(run.sampler_retries, base.sampler_retries);
       EXPECT_EQ(run.stats.rounds, base.stats.rounds);
       EXPECT_EQ(run.stats.messages, base.stats.messages);
       EXPECT_EQ(run.stats.bits, base.stats.bits);

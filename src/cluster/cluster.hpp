@@ -155,11 +155,6 @@ class Cluster {
   /// run. The per-machine vectors must match this cluster's width.
   void restore_stats(const ClusterStats& stats);
 
-  /// Number of directed links, k(k-1).
-  [[nodiscard]] std::uint64_t directed_links() const noexcept {
-    return static_cast<std::uint64_t>(config_.k) * (config_.k - 1);
-  }
-
  private:
   ClusterConfig config_;
   std::vector<std::vector<Message>> inboxes_;   // per machine, current superstep

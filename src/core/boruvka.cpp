@@ -30,6 +30,10 @@ constexpr std::uint32_t kTagCountProxy = 14;
 constexpr std::uint32_t kTagCountRoot = 15;
 constexpr std::uint32_t kTagCountBcast = 16;
 
+// Safety cap on the elimination loop (Section 3.1) and the DRR merge loop
+// of one phase; both run O(log n) iterations w.h.p.
+constexpr std::uint32_t kMaxLoopIterations = 200;
+
 constexpr std::uint64_t kDirectiveContinue = 0;
 constexpr std::uint64_t kDirectiveFinished = 1;
 
@@ -790,11 +794,9 @@ BoruvkaResult BoruvkaEngine::run() {
   while (!done()) {
     const Cursor c = machines_[0].cursor;
     if (c.step == Step::kSketch) {
-      KMM_CHECK_MSG(static_cast<int>(c.t) < config_.max_elimination_iterations,
-                    "outgoing-edge selection failed to converge");
+      KMM_CHECK_MSG(c.t < kMaxLoopIterations, "outgoing-edge selection failed to converge");
     } else if (c.step == Step::kHandoff) {
-      KMM_CHECK_MSG(static_cast<int>(c.rho) < config_.max_merge_iterations,
-                    "merge loop failed to converge");
+      KMM_CHECK_MSG(c.rho < kMaxLoopIterations, "merge loop failed to converge");
     }
     if (c.step == Step::kSketch || c.step == Step::kProxyMerge) {
       // Rebind the builder's power tables in place (allocation-free).

@@ -106,8 +106,6 @@ struct BoruvkaConfig {
   int max_phases = 0;            // 0 => the Lemma 7 bound 12*ceil(log2 n)
   bool charge_randomness = true; // charge the Section 2.2 relay each phase
   bool count_components = true;  // run the final counting protocol
-  int max_elimination_iterations = 200;  // safety cap (expected O(log n))
-  int max_merge_iterations = 200;        // safety cap (expected O(log n))
   MergeRule merge_rule = MergeRule::kDrr;
   /// Ablation only: route every component through one coordinator machine
   /// instead of random proxies — the congested "trivial strategy" of

@@ -32,8 +32,8 @@
 //    machine so superstep handlers never share one.
 //
 // Memory: the dense slot table costs 4 bytes per universe label per
-// registry. The engine keeps 4 registries x k machines over a universe of n
-// labels — 16*n*k bytes total, the price of O(1) slot lookup without
+// registry. The engine keeps 3 registries x k machines over a universe of n
+// labels — 12*n*k bytes total, the price of O(1) slot lookup without
 // hashing; revisit with a paged table if simulated n ever outgrows it.
 
 #include <algorithm>

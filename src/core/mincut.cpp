@@ -7,22 +7,33 @@
 
 namespace kmm {
 
+namespace {
+
+// Independent samples per level; disconnection is decided by majority.
+constexpr int kTrialsPerLevel = 3;
+
+}  // namespace
+
 MinCutResult approximate_min_cut(Cluster& cluster, const DistributedGraph& dg,
                                  const MinCutConfig& config) {
   const StatsScope scope(cluster);
   MinCutResult result;
   const std::size_t n = dg.num_vertices();
   const std::size_t m = dg.graph().num_edges();
+  const auto conn_config = [&](std::uint64_t seed) {
+    BoruvkaConfig conn;
+    conn.seed = seed;
+    conn.threads = config.threads;
+    conn.obs = config.obs;
+    conn.fault = config.fault;
+    conn.cancel = config.cancel;
+    conn.pool = config.pool;
+    return conn;
+  };
 
   // Level 0 (p = 1) is plain connectivity of the input.
   {
-    BoruvkaConfig conn = config.connectivity;
-    conn.seed = split(config.seed, 0);
-    conn.threads = config.threads;
-    conn.obs = config.obs;
-    conn.cancel = config.cancel;
-    conn.pool = config.pool;
-    const auto base = connected_components(cluster, dg, conn);
+    const auto base = connected_components(cluster, dg, conn_config(split(config.seed, 0)));
     result.graph_connected = base.num_components <= 1;
   }
   if (!result.graph_connected || m == 0) {
@@ -31,21 +42,18 @@ MinCutResult approximate_min_cut(Cluster& cluster, const DistributedGraph& dg,
     return result;
   }
 
-  int max_levels = config.max_levels;
-  if (max_levels == 0) {
-    max_levels = 2;
-    while ((1ULL << max_levels) < m && max_levels < 62) ++max_levels;
-    max_levels += 2;
-  }
+  int last_level = 2;
+  while ((1ULL << last_level) < m && last_level < 62) ++last_level;
+  last_level += 2;
 
-  for (int level = 1; level <= max_levels; ++level) {
+  for (int level = 1; level <= last_level; ++level) {
     MinCutLevelTrace trace;
     trace.level = level;
-    trace.trials = config.trials_per_level;
+    trace.trials = kTrialsPerLevel;
     // keep(e) iff the shared hash of the edge index falls below 2^(64-level)
     // — an exact Bernoulli(2^-level) coin both endpoints can evaluate.
     const std::uint64_t threshold = 1ULL << (64 - level);
-    for (int trial = 0; trial < config.trials_per_level; ++trial) {
+    for (int trial = 0; trial < kTrialsPerLevel; ++trial) {
       const std::uint64_t trial_seed =
           split3(config.seed, static_cast<std::uint64_t>(level),
                  static_cast<std::uint64_t>(trial));
@@ -53,13 +61,8 @@ MinCutResult approximate_min_cut(Cluster& cluster, const DistributedGraph& dg,
         return split(trial_seed, edge_index(u, v, n)) < threshold;
       });
       const DistributedGraph sampled_dg(sampled, dg.partition());
-      BoruvkaConfig conn = config.connectivity;
-      conn.seed = split3(config.seed, 0x515, trial_seed);
-      conn.threads = config.threads;
-      conn.obs = config.obs;
-      conn.cancel = config.cancel;
-      conn.pool = config.pool;
-      const auto res = connected_components(cluster, sampled_dg, conn);
+      const auto res = connected_components(
+          cluster, sampled_dg, conn_config(split3(config.seed, 0x515, trial_seed)));
       if (res.num_components > 1) ++trace.disconnected_trials;
     }
     result.levels.push_back(trace);

@@ -8,8 +8,9 @@
 // w.h.p.; the first level i* whose samples disconnect therefore satisfies
 // 2^{i*} ≈ λ / Θ(log n), giving the O(log n)-factor estimate
 //     λ̂ = 2^{i*-1} · ln n.
-// Each level runs `trials` independent samples and disconnection is decided
-// by majority, the whole sweep costing O~(n/k^2) · O(log m) rounds.
+// Each level runs three independent samples and disconnection is decided by
+// majority; the sweep stops after ceil(log2 m) + 2 levels at most, the whole
+// of it costing O~(n/k^2) · O(log m) rounds.
 
 #include <vector>
 
@@ -19,23 +20,24 @@ namespace kmm {
 
 struct MinCutConfig {
   std::uint64_t seed = 7;
-  int trials_per_level = 3;
-  int max_levels = 0;  // 0 => ceil(log2 m) + 2
-  BoruvkaConfig connectivity;  // settings for the inner connectivity runs
-  /// Worker threads for every inner connectivity run (overrides
-  /// connectivity.threads; 1 = sequential, 0 = hardware concurrency,
-  /// clamped to k). Results and the ledger are thread-invariant.
+  /// Worker threads for every inner connectivity run (1 = sequential,
+  /// 0 = hardware concurrency, clamped to k). Results and the ledger are
+  /// thread-invariant.
   unsigned threads = 1;
   /// Optional observability sinks, forwarded into every inner connectivity
-  /// run (overrides connectivity.obs). One timeline attached here sees the
-  /// whole level sweep as consecutive rows on one cluster ledger.
+  /// run. One timeline attached here sees the whole level sweep as
+  /// consecutive rows on one cluster ledger.
   const ObsSink* obs = nullptr;
+  /// Optional fault plane, forwarded into every inner connectivity run. Each
+  /// run is a checkpointable Borůvka program, so scheduled crashes recover;
+  /// one plane spans the whole level sweep. Null is bit-identical.
+  FaultPlane* fault = nullptr;
   /// Optional cooperative cancellation point, forwarded into every inner
-  /// connectivity run (overrides connectivity.cancel); one budget covers
-  /// the whole level sweep. Null never cancels.
+  /// connectivity run; one budget covers the whole level sweep. Null never
+  /// cancels.
   CancelPoint* cancel = nullptr;
   /// Optional shared worker pool, forwarded into every inner connectivity
-  /// run (overrides connectivity.pool); null = private pools.
+  /// run; null = private pools.
   ThreadPool* pool = nullptr;
 };
 

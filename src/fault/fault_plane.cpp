@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "durable/durable_store.hpp"
 #include "util/assert.hpp"
@@ -50,6 +51,10 @@ std::size_t FaultPlane::begin_step(Cluster& cluster, MachineProgram& program) {
   KMM_CHECK_MSG(pending_resume_ == nullptr,
                 "durable resume: an armed frame was never applied — the driver must "
                 "call FaultPlane::apply_resume before its first step (rule 10)");
+  // A program's first step always checkpoints when crashes can happen: the
+  // last generation may belong to the previous program on this plane, and
+  // a replay must never restore one program from another's snapshot.
+  const bool program_start = std::exchange(program_start_, false);
   crash_scratch_.clear();
   schedule_->crashes_at(ordinal_, k, crash_scratch_);
   if (config_.lethal_crashes) {
@@ -63,16 +68,17 @@ std::size_t FaultPlane::begin_step(Cluster& cluster, MachineProgram& program) {
     throw QueryKilled{ordinal_, crash_scratch_.front().machine};
   }
   const bool checkpointable = program.checkpointable();
-  const bool ckpt_active = config_.always_checkpoint || schedule_->has_crashes();
+  const bool ckpt_active = schedule_->has_crashes();
   // An attached durable store activates cadence checkpointing on its own:
   // the whole point of durability is surviving a kill the schedule never
   // planned, so a crash-free schedule must still produce generations.
   const bool durable_active = durable_ != nullptr && checkpointable;
+  const bool cadence = ordinal_ % config_.checkpoint_every == 0;
 
-  if ((ckpt_active || durable_active) && checkpointable &&
-      ordinal_ % config_.checkpoint_every == 0) {
+  if (checkpointable && ((ckpt_active && (cadence || program_start)) ||
+                         (durable_active && cadence))) {
     checkpoint_all(cluster, program);
-    if (durable_active) durable_commit(cluster, program);
+    if (durable_active && cadence) durable_commit(cluster, program);
   }
 
   if (!crash_scratch_.empty()) {
@@ -193,6 +199,7 @@ void FaultPlane::durable_commit(Cluster& cluster, MachineProgram& program) {
 }
 
 void FaultPlane::apply_resume(Cluster& cluster, MachineProgram& program) {
+  program_start_ = true;
   if (pending_resume_ == nullptr) return;
   ensure_k(cluster.k());
   const DurableFrame& frame = *pending_resume_;

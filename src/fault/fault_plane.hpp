@@ -38,16 +38,15 @@
 //    verification/referee layer downstream, turning the schedule into an
 //    end-to-end audit of the certificate checking.
 //
-//  * Watchdog. Scheduled hangs (add_hang) become deterministic crashes,
-//    counted separately; an optional wall-clock handler deadline only bumps
-//    a diagnostic counter (wall time must never influence the ledger).
+//  * Hangs. Scheduled hangs (add_hang) become deterministic crashes,
+//    counted separately. Wall time never influences the plane.
 //
-// All plane entry points run on the driver thread between handler barriers
-// (deadline overrun notes excepted — those are atomic). The plane keeps a
-// global step ordinal across sequential Runtimes sharing it, mirroring how
-// one MetricsTimeline spans a whole algorithm run.
+// All plane entry points run on the driver thread between handler barriers.
+// The plane keeps a global step ordinal across sequential Runtimes sharing
+// it, mirroring how one MetricsTimeline spans a whole algorithm run; each
+// program takes its first checkpoint at its own first step, so a replay
+// never crosses into the previous program.
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -63,17 +62,12 @@ namespace kmm {
 class DurableStore;
 
 struct FaultPlaneConfig {
-  /// Checkpoint cadence C for checkpointable MachinePrograms: snapshots are
-  /// taken at every superstep ordinal divisible by C, and a crash replays
-  /// at most C-1 logged supersteps.
+  /// Checkpoint cadence C for checkpointable MachinePrograms. Whenever the
+  /// schedule can crash a machine, snapshots are taken at every superstep
+  /// ordinal divisible by C and at each program's first step, and a crash
+  /// replays at most C-1 logged supersteps. (A schedule whose only crash
+  /// never fires, add_crash(~0ULL, 0), prices checkpointing alone.)
   unsigned checkpoint_every = 8;
-  /// Checkpoint/log even when the schedule cannot crash anyone — the knob
-  /// bench_faults uses to measure pure checkpoint overhead.
-  bool always_checkpoint = false;
-  /// Wall-clock budget per handler phase; 0 disables. Diagnostic only:
-  /// overruns are counted (FaultStats::deadline_overruns), never charged —
-  /// deterministic simulated hangs come from FaultSchedule::add_hang.
-  std::uint64_t handler_deadline_ns = 0;
   /// Lethal mode (the serving layer's process-kill model): a scheduled
   /// crash is not recovered — begin_step throws QueryKilled instead, and
   /// ALL checkpoint/log/replay machinery is skipped, so a schedule with no
@@ -93,7 +87,7 @@ struct QueryKilled {
 };
 
 struct FaultStats {
-  std::uint64_t crashes = 0;          // machines crashed (watchdog trips included)
+  std::uint64_t crashes = 0;          // machines crashed (scheduled hangs included)
   std::uint64_t watchdog_trips = 0;   // crashes that were scheduled hangs
   std::uint64_t restores = 0;         // checkpoint restores performed
   std::uint64_t replayed_steps = 0;   // logged supersteps replayed after rollback
@@ -106,7 +100,6 @@ struct FaultStats {
   std::uint64_t reorders = 0;         // buckets reordered in transit
   std::uint64_t corruptions = 0;      // payloads tampered in transit
   std::uint64_t overhead_rounds = 0;  // rounds charged for retransmit/lossy overhead
-  std::uint64_t deadline_overruns = 0;  // wall-clock watchdog notes (diagnostic)
   std::uint64_t durable_commits = 0;  // frames committed to the durable store
   std::uint64_t resumes = 0;          // durable resume frames applied
 };
@@ -137,10 +130,12 @@ class FaultPlane {
   /// apply_resume. The frame is borrowed and must outlive that call.
   void arm_resume(const DurableFrame* frame) noexcept { pending_resume_ = frame; }
 
-  /// Apply the armed frame, if any (rule 10 in runtime.hpp; every driver
-  /// calls this once before its first step): restore every machine's state,
-  /// the frame's inboxes and the ledger, and rewind the plane's ordinal —
-  /// deterministic re-execution then reproduces the uninterrupted run.
+  /// Every driver calls this once before its first step (rule 10 in
+  /// runtime.hpp). It marks the start of a new program, whose first step
+  /// then takes a checkpoint if the schedule can crash. It also applies the
+  /// armed frame, if any: it restores every machine's state, the frame's
+  /// inboxes and the ledger, and rewinds the plane's ordinal. Deterministic
+  /// re-execution then reproduces the uninterrupted run.
   void apply_resume(Cluster& cluster, MachineProgram& program);
 
   // ------------------------------------------------ Runtime integration
@@ -168,18 +163,7 @@ class FaultPlane {
     return e;
   }
 
-  void note_deadline_overrun() noexcept {
-    deadline_overruns_.fetch_add(1, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t handler_deadline_ns() const noexcept {
-    return config_.handler_deadline_ns;
-  }
-
-  [[nodiscard]] FaultStats stats() const {
-    FaultStats s = stats_;
-    s.deadline_overruns = deadline_overruns_.load(std::memory_order_relaxed);
-    return s;
-  }
+  [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::uint64_t step_ordinal() const noexcept { return ordinal_; }
   [[nodiscard]] const FaultSchedule& schedule() const noexcept { return *schedule_; }
   [[nodiscard]] const FaultPlaneConfig& config() const noexcept { return config_; }
@@ -206,8 +190,8 @@ class FaultPlane {
   const FaultSchedule* schedule_;
   FaultPlaneConfig config_;
   FaultStats stats_;
-  std::atomic<std::uint64_t> deadline_overruns_{0};
   std::uint64_t ordinal_ = 0;      // global superstep ordinal across Runtimes
+  bool program_start_ = false;     // set by apply_resume, cleared by begin_step
   std::uint64_t step_events_ = 0;  // timeline column accumulator
   MachineId k_ = 0;
 

@@ -124,10 +124,9 @@ bool FaultSchedule::reordered(std::uint64_t step, MachineId src, MachineId dst) 
 
 FaultSchedule service_attempt_schedule(std::uint64_t seed, std::uint64_t query_id,
                                        std::uint64_t attempt, double kill_prob,
-                                       std::uint64_t horizon, MachineId k,
-                                       FaultProfile profile) {
+                                       MachineId k, FaultProfile profile) {
   KMM_CHECK_MSG(k >= 1, "service_attempt_schedule needs at least one machine");
-  KMM_CHECK_MSG(horizon >= 1, "kill horizon must be >= 1 superstep");
+  constexpr std::uint64_t kKillHorizon = 64;  // kill steps are drawn in [0, 64)
   // Every crash must come from the single kill draw below (see the header
   // doc): zero the profile's own crash stream before seeding the schedule.
   profile.crash_prob = 0.0;
@@ -141,7 +140,7 @@ FaultSchedule service_attempt_schedule(std::uint64_t seed, std::uint64_t query_i
     kill = (draw >> 11) < static_cast<std::uint64_t>(kill_prob * 9007199254740992.0);
   }
   if (kill) {
-    const std::uint64_t step = split(draw, 1) % horizon;
+    const std::uint64_t step = split(draw, 1) % kKillHorizon;
     const MachineId machine = static_cast<MachineId>(split(draw, 2) % k);
     schedule.add_crash(step, machine);
   }

@@ -65,8 +65,8 @@ class FaultSchedule {
   void add_crash(std::uint64_t step, MachineId machine, unsigned stall = 0) {
     crashes_.push_back({step, machine, stall, false});
   }
-  /// A handler hang at (step, machine): the deadline watchdog converts it
-  /// into a deterministic simulated crash (FaultStats counts it separately).
+  /// A handler hang at (step, machine): the plane turns it into a
+  /// deterministic simulated crash (FaultStats counts it separately).
   void add_hang(std::uint64_t step, MachineId machine) {
     crashes_.push_back({step, machine, 0, true});
   }
@@ -179,11 +179,11 @@ class FaultSchedule {
 /// along unchanged, but its crash_prob is zeroed — in chaos mode every
 /// crash must come from the kill draw, so a surviving attempt carries an
 /// empty crash schedule and (by the plane's silent-crash neutrality) a
-/// ledger bit-identical to an undisturbed run.
+/// ledger bit-identical to an undisturbed run. A kill lands on a superstep
+/// drawn from [0, 64).
 [[nodiscard]] FaultSchedule service_attempt_schedule(std::uint64_t seed,
                                                      std::uint64_t query_id,
                                                      std::uint64_t attempt, double kill_prob,
-                                                     std::uint64_t horizon, MachineId k,
-                                                     FaultProfile profile = {});
+                                                     MachineId k, FaultProfile profile = {});
 
 }  // namespace kmm

@@ -120,22 +120,13 @@ std::uint64_t Runtime::step(MachineProgram& program, StepMode mode) {
       for (MachineId i = 0; i < k; ++i) fn(i);
     }
   };
-  const std::uint64_t deadline_ns =
-      fault_ != nullptr ? fault_->handler_deadline_ns() : 0;
   const std::uint64_t t0 = tick();
   for_each_machine([&](std::size_t i) {
     const auto self = static_cast<MachineId>(i);
     const std::uint64_t hb = tr != nullptr ? tr->now_ns() : 0;
     shards_[i].clear();  // buckets and arena capacity retained from last step
     Outbox out(shards_[i], self, k);
-    const std::uint64_t wb = deadline_ns != 0 ? now_ns() : 0;
     program.on_superstep(self, cluster_->inbox(self), out);
-    if (deadline_ns != 0 && now_ns() - wb > deadline_ns) {
-      // Wall-clock watchdog: diagnostic only — never touches the ledger
-      // (simulated hangs are injected deterministically via
-      // FaultSchedule::add_hang instead).
-      fault_->note_deadline_overrun();
-    }
     if (tr != nullptr) {
       tr->record(ThreadPool::current_lane(), SpanKind::kHandler, step_ordinal_, self, hb,
                  tr->now_ns());

@@ -98,10 +98,12 @@
 //      checkpointable() -> true plus snapshot(m, WordWriter&)/restore(m,
 //      WordReader&) such that restore rebuilds machine m's state *exactly*
 //      from the words snapshot wrote (and consumes all of them). The plane
-//      checkpoints every C steps and replays crashed machines through their
-//      logged inboxes; serialize everything a handler reads across steps,
-//      and nothing that is rebuilt within one step (scratch buffers,
-//      per-step accumulators). A multi-step protocol becomes one such
+//      checkpoints every C steps and at the program's first step (its
+//      driver calls FaultPlane::apply_resume once before that step, as rule
+//      10 asks), and replays crashed machines through their logged
+//      inboxes; serialize everything a handler reads across steps, and
+//      nothing that is rebuilt within one step (scratch buffers, per-step
+//      accumulators). A multi-step protocol becomes one such
 //      program by carrying a phase cursor in its per-machine state, and
 //      every input a handler needs (proxy maps, seeds) must follow from
 //      that cursor: a replay re-runs a victim's older steps while the

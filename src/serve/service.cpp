@@ -280,8 +280,7 @@ QueryOutcome ClusterService::execute(const QueryRequest& request, std::uint64_t 
     std::optional<FaultPlane> plane;
     if (chaos) {
       schedule.emplace(service_attempt_schedule(config_.chaos.seed, id, attempt,
-                                                config_.chaos.kill_prob,
-                                                config_.chaos.horizon, config_.k,
+                                                config_.chaos.kill_prob, config_.k,
                                                 config_.chaos.profile));
       if (schedule->has_crashes() || schedule->has_link_faults()) {
         // A silent attempt schedule attaches NO plane at all, so a surviving
@@ -367,9 +366,9 @@ QueryResult ClusterService::dispatch(const QueryRequest& request, Cluster& clust
     case QueryKind::kMinCut: {
       MinCutConfig mc;
       mc.seed = request.seed;
-      mc.connectivity = base;
       mc.threads = config_.query_threads;
       mc.obs = obs;
+      mc.fault = plane;
       mc.cancel = &cancel;
       mc.pool = pool_.get();
       const MinCutResult res = approximate_min_cut(cluster, *dg_, mc);

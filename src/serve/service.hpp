@@ -117,7 +117,6 @@ using QueryOutcome = Expected<QueryResult, QueryError>;
 struct ServiceChaos {
   double kill_prob = 0.0;
   std::uint64_t seed = 0;
-  std::uint64_t horizon = 64;  // kill steps are drawn in [0, horizon)
   FaultProfile profile;
 };
 

@@ -10,6 +10,9 @@
 //     several Borůvka elimination iterations;
 //   * lossy links (drops, duplicates, reorders) never change answers —
 //     their entire effect is deterministic extra rounds;
+//   * programs run one after another on one plane (two_edge_connectivity,
+//     the min-cut sweep) recover from a crash just after a program
+//     boundary, since each program checkpoints at its first step;
 //   * corruption is NOT recovered: it must be *caught* downstream by the
 //     raw-label referee (canonicalization would mask a uniformly
 //     propagated tampered label — see kmachine_cli's --verify).
@@ -435,6 +438,78 @@ TEST(FaultPlane, CheckpointReplayRebuildsCrashedMachines) {
     EXPECT_GT(fs.checkpoint_words, 0u);
     EXPECT_GT(cluster.stats().rounds, clean_cluster.stats().rounds);
   }
+}
+
+// ------------------------------------------ sequential programs, one plane
+
+TEST(FaultPlane, CrashAfterAProgramBoundaryRestoresTheNewProgram) {
+  // two_edge_connectivity's two forest runs and the min-cut level sweep
+  // share one plane, whose ordinal runs on across programs. Each program
+  // checkpoints at its own first step, so a crash just after a boundary
+  // rolls back into the new program and never restores it from the
+  // previous program's snapshot. The sweep crashes every ordinal from one
+  // before the first boundary to one full cadence after it.
+  Rng rng(3);
+  const Graph g = gen::dumbbell(64, 3, rng);
+  const std::size_t n = g.num_vertices();
+  const MachineId k = 4;
+  const DistributedGraph dg(g, VertexPartition::random(n, k, 9));
+  FaultPlaneConfig pcfg;
+  pcfg.checkpoint_every = 8;
+
+  // The plane ordinal at which a connectivity run seeded `seed` hands the
+  // plane to the next program.
+  const auto boundary = [&](std::uint64_t seed) {
+    const FaultSchedule silent(1);
+    FaultPlane plane(silent, pcfg);
+    Cluster cluster(ClusterConfig::for_graph(n, k));
+    BoruvkaConfig cfg;
+    cfg.seed = seed;
+    cfg.fault = &plane;
+    (void)connected_components(cluster, dg, cfg);
+    return plane.step_ordinal();
+  };
+  const auto sweep = [&](std::uint64_t first_program_seed, const auto& run) {
+    const std::uint64_t b = boundary(first_program_seed);
+    ASSERT_NE(b % pcfg.checkpoint_every, 0u) << "the boundary must fall between cadences";
+    for (std::uint64_t o = b - 1; o <= b + pcfg.checkpoint_every; ++o) {
+      FaultSchedule sched(5);
+      sched.add_crash(o, 1);
+      FaultPlane plane(sched, pcfg);
+      Cluster cluster(ClusterConfig::for_graph(n, k));
+      run(plane, cluster, o);
+      EXPECT_EQ(plane.stats().crashes, 1u) << "o=" << o;
+      EXPECT_GT(plane.stats().restores, 0u) << "o=" << o;
+    }
+  };
+
+  BoruvkaConfig base;
+  base.seed = 11;
+  Cluster c0(ClusterConfig::for_graph(n, k));
+  const TwoEdgeResult clean_2ec = two_edge_connectivity(c0, dg, base);
+  ASSERT_TRUE(clean_2ec.connected);
+  // two_edge_connectivity seeds its first forest run with split(seed, 0x2ec1).
+  sweep(split(base.seed, 0x2ec1), [&](FaultPlane& plane, Cluster& cluster, std::uint64_t o) {
+    BoruvkaConfig cfg = base;
+    cfg.fault = &plane;
+    const TwoEdgeResult res = two_edge_connectivity(cluster, dg, cfg);
+    EXPECT_EQ(res.two_edge_connected, clean_2ec.two_edge_connected) << "o=" << o;
+    EXPECT_EQ(res.certificate_edges, clean_2ec.certificate_edges) << "o=" << o;
+  });
+
+  MinCutConfig mc;
+  mc.seed = 6;  // its level-0 run ends off the cadence, at ordinal 147
+  Cluster c1(ClusterConfig::for_graph(n, k));
+  const MinCutResult clean_cut = approximate_min_cut(c1, dg, mc);
+  ASSERT_TRUE(clean_cut.graph_connected);
+  // approximate_min_cut seeds its level-0 connectivity run with split(seed, 0).
+  sweep(split(mc.seed, 0), [&](FaultPlane& plane, Cluster& cluster, std::uint64_t o) {
+    MinCutConfig cfg = mc;
+    cfg.fault = &plane;
+    const MinCutResult res = approximate_min_cut(cluster, dg, cfg);
+    EXPECT_EQ(res.estimate, clean_cut.estimate) << "o=" << o;
+    EXPECT_EQ(res.disconnect_level, clean_cut.disconnect_level) << "o=" << o;
+  });
 }
 
 // --------------------------------------------------- rule 8 is enforced

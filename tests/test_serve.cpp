@@ -148,19 +148,19 @@ TEST(ServePlane, RetryBackoffIsPureAndBounded) {
 
 TEST(ServePlane, ServiceAttemptScheduleDrawsOneKillPerAttempt) {
   // kill_prob = 1 always kills; kill_prob = 0 is silent.
-  EXPECT_TRUE(service_attempt_schedule(7, 1, 1, 1.0, 64, 8).has_crashes());
-  EXPECT_FALSE(service_attempt_schedule(7, 1, 1, 0.0, 64, 8).has_crashes());
+  EXPECT_TRUE(service_attempt_schedule(7, 1, 1, 1.0, 8).has_crashes());
+  EXPECT_FALSE(service_attempt_schedule(7, 1, 1, 0.0, 8).has_crashes());
   // The profile's own crash stream is zeroed: a crash-heavy profile with
   // kill_prob = 0 yields a schedule with no crashes at all.
   FaultProfile crashy;
   crashy.crash_prob = 1.0;
-  EXPECT_FALSE(service_attempt_schedule(7, 1, 1, 0.0, 64, 8, crashy).has_crashes());
+  EXPECT_FALSE(service_attempt_schedule(7, 1, 1, 0.0, 8, crashy).has_crashes());
   // With kill_prob = 0.5 the per-attempt draws are independent, so some
   // (query, attempt) pair in a small window must survive — the geometric
   // convergence retries rely on.
   bool some_silent = false, some_kill = false;
   for (std::uint64_t attempt = 1; attempt <= 16; ++attempt) {
-    const bool kills = service_attempt_schedule(11, 1, attempt, 0.5, 64, 8).has_crashes();
+    const bool kills = service_attempt_schedule(11, 1, attempt, 0.5, 8).has_crashes();
     some_silent |= !kills;
     some_kill |= kills;
   }
@@ -345,8 +345,8 @@ TEST(ClusterService, ChaosRetryLandsOnUndisturbedLedger) {
   // survives attempt 2 — the canonical killed-then-retried trajectory.
   std::uint64_t chaos_seed = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    if (service_attempt_schedule(seed, 1, 1, 0.5, 64, 8).has_crashes() &&
-        !service_attempt_schedule(seed, 1, 2, 0.5, 64, 8).has_crashes()) {
+    if (service_attempt_schedule(seed, 1, 1, 0.5, 8).has_crashes() &&
+        !service_attempt_schedule(seed, 1, 2, 0.5, 8).has_crashes()) {
       chaos_seed = seed;
       break;
     }

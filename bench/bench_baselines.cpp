@@ -40,8 +40,9 @@ Row run_all(const Graph& g, MachineId k, std::uint64_t seed, BenchJson& json) {
   {
     Cluster c(ClusterConfig::for_graph(n, k));
     const DistributedGraph dg(g, part);
-    const auto run = timed(
-        [&] { return referee_connectivity(c, dg, RefereeConfig{.broadcast_labels = false}); });
+    RefereeConfig cfg;
+    cfg.broadcast_labels = false;
+    const auto run = timed([&] { return referee_connectivity(c, dg, cfg); });
     row.referee = run.result.stats.rounds;
     json.record("referee", n, m, k, 1, run.result.stats, 0, run.wall_ms);
   }

@@ -22,6 +22,7 @@
 
 #include <unistd.h>
 
+#include <filesystem>
 #include <span>
 
 #include "bench_common.hpp"
@@ -77,10 +78,7 @@ constexpr std::size_t kSteadySteps = 512;
 FaultBenchRun drive(kmm::FaultPlane* plane) {
   kmm::Cluster cluster(kmm::ClusterConfig{kMachines, 64});
   RingProgram program(kMachines);
-  kmm::RuntimeConfig rcfg;
-  rcfg.threads = 1;
-  rcfg.fault = plane;
-  kmm::Runtime rt(cluster, rcfg);
+  kmm::Runtime rt(cluster, kmm::RuntimeConfig{}, plane);
 
   for (std::size_t s = 0; s < kWarmupSteps; ++s) (void)rt.step(program);
   const std::uint64_t a0 = alloc_count();
@@ -154,18 +152,22 @@ int main() {
 
   // Durable tee: every cadence checkpoint also lands on disk as a resume
   // frame. Each cell gets its own fresh directory so commit counts and
-  // pruning are independent.
+  // pruning are independent, and removes it once measured.
   for (const bool fsync : {false, true}) {
     for (const unsigned cadence : {1u, 8u, 64u}) {
       char dir[128];
       std::snprintf(dir, sizeof(dir), "bench_durable_%s_c%u_%d",
                     fsync ? "fsync" : "nofsync", cadence, static_cast<int>(::getpid()));
-      kmm::DurableStore store({dir, fsync, /*keep_generations=*/3, 0});
-      kmm::FaultPlaneConfig pcfg;
-      pcfg.checkpoint_every = cadence;
-      kmm::FaultPlane plane(empty, pcfg);
-      plane.set_durable_store(&store);
-      const FaultBenchRun run = drive(&plane);
+      FaultBenchRun run;
+      {
+        kmm::DurableStore store({dir, fsync, /*keep_generations=*/3, 0});
+        kmm::FaultPlaneConfig pcfg;
+        pcfg.checkpoint_every = cadence;
+        kmm::FaultPlane plane(empty, pcfg);
+        plane.set_durable_store(&store);
+        run = drive(&plane);
+      }
+      std::filesystem::remove_all(dir);
       report(json, fsync ? "durable-fsync" : "durable", cadence, run, detached.wall_ms);
       std::printf("  %s cadence=%u: %llu commits, %llu bytes, %llu pruned\n",
                   fsync ? "durable-fsync" : "durable", cadence,

@@ -24,9 +24,9 @@
 //                 --stream-ingest; ingest fails with a diagnostic exit when
 //                 any machine would exceed it)
 //               --fault-profile none|crashes|lossy|corrupt|chaos (seeded
-//                 fault schedule for conn|mst|flood; crashes recover via the
-//                 checkpoint/replay plane, lossy links are retransmitted,
-//                 corruption is left for --verify to catch)
+//                 fault schedule for conn|mst|flood|mincut|2ec; crashes
+//                 recover via the checkpoint/replay plane, lossy links are
+//                 retransmitted, corruption is left for --verify to catch)
 //               --fault-seed S (schedule PRF seed; default 0)
 //               --checkpoint-every C (checkpoint cadence for crash recovery)
 //               --durable-dir DIR (durable checkpoint & restart plane: every
@@ -391,15 +391,13 @@ auto run_durable(const Options& opt, std::uint64_t state_version, std::size_t n,
 
 /// The flood path, shared by the materialized and stream-ingest backends:
 /// one engine and one report whether the run is plain, rides the
-/// --fault-profile plane (`fault`), or is durable — so a durable and a
+/// --fault-profile plane (fcfg.fault), or is durable — so a durable and a
 /// plain run of the same flags print the same components and ledger lines.
 /// Returns nullopt only on durable-plane errors.
 std::optional<FloodingResult> run_flood(const Options& opt, Cluster& cluster,
-                                        const DistributedGraph& dg, const ObsSink* obs,
-                                        FaultPlane* fault, std::size_t m) {
-  FloodingConfig fcfg;
-  fcfg.threads = opt.threads;
-  fcfg.obs = obs;
+                                        const DistributedGraph& dg, FloodingConfig fcfg,
+                                        std::size_t m) {
+  FaultPlane* const fault = fcfg.fault;
   const std::optional<FloodingResult> res =
       run_durable(opt, FloodProgram::kStateVersion, dg.num_vertices(), m, fault,
                   [&](FaultPlane* plane) {
@@ -518,22 +516,18 @@ int run_stream(const Options& opt) {
                       opt.trace_out.empty() ? nullptr : opt.trace_out.c_str(),
                       opt.algo.c_str());
 
-  BoruvkaConfig acfg;
+  const RuntimeConfig seam{.threads = opt.threads, .obs = obs.sink()};
+  BoruvkaConfig acfg{seam};
   acfg.seed = split(opt.seed, 0xa190);
   acfg.single_coordinator = opt.coordinator;
   acfg.merge_rule = opt.coinflip ? MergeRule::kCoinFlip : MergeRule::kDrr;
-  acfg.threads = opt.threads;
-  acfg.obs = obs.sink();
 
   if (opt.algo == "conn" || opt.algo == "mst") {
     if (!run_boruvka(opt, cluster, dg, acfg, m).has_value()) return 1;
   } else if (opt.algo == "flood") {
-    if (!run_flood(opt, cluster, dg, obs.sink(), nullptr, m).has_value()) return 1;
+    if (!run_flood(opt, cluster, dg, FloodingConfig{seam}, m).has_value()) return 1;
   } else {  // referee
-    RefereeConfig rcfg;
-    rcfg.threads = opt.threads;
-    rcfg.obs = obs.sink();
-    const auto res = referee_connectivity(cluster, dg, rcfg);
+    const auto res = referee_connectivity(cluster, dg, RefereeConfig{seam});
     std::printf("components=%llu\n", static_cast<unsigned long long>(res.num_components));
     print_stats("referee", res.stats);
   }
@@ -753,28 +747,29 @@ int main(int argc, char** argv) {
                       opt.trace_out.empty() ? nullptr : opt.trace_out.c_str(),
                       opt.algo.c_str());
 
-  BoruvkaConfig acfg;
+  // One seam, copied into every algorithm's config.
+  const RuntimeConfig seam{.threads = opt.threads, .obs = obs.sink()};
+  BoruvkaConfig acfg{seam};
   acfg.seed = split(opt.seed, 0xa190);
   acfg.single_coordinator = opt.coordinator;
   acfg.merge_rule = opt.coinflip ? MergeRule::kCoinFlip : MergeRule::kDrr;
-  acfg.threads = opt.threads;
-  acfg.obs = obs.sink();
   if (opt.threads != 1) {
     std::printf("runtime threads: %u requested -> %u effective\n", opt.threads,
                 resolve_threads(opt.threads, opt.k));
   }
 
   // Fault plane: seeded schedule + recovery machinery for the recoverable
-  // algorithms (conn/mst/flood — checkpointable programs, recovered by
-  // checkpoint/replay).
+  // algorithms (conn/mst/flood, and mincut/2ec whose connectivity runs are
+  // checkpointable programs, recovered by checkpoint/replay).
   // Corruption profiles are meant to be *caught*: run them with --verify.
   std::optional<FaultSchedule> fault_schedule;
   std::optional<FaultPlane> fault_plane;
   if (opt.fault_profile != "none") {
-    if (opt.algo != "conn" && opt.algo != "mst" && opt.algo != "flood") {
+    if (opt.algo != "conn" && opt.algo != "mst" && opt.algo != "flood" &&
+        opt.algo != "mincut" && opt.algo != "2ec") {
       std::fprintf(stderr,
-                   "error: --fault-profile supports --algo conn|mst|flood (the "
-                   "crash-recoverable algorithms), got '%s'\n",
+                   "error: --fault-profile supports --algo conn|mst|flood|mincut|2ec "
+                   "(the crash-recoverable algorithms), got '%s'\n",
                    opt.algo.c_str());
       return 2;
     }
@@ -789,10 +784,8 @@ int main(int argc, char** argv) {
   }
 
   if (opt.algo == "leader") {
-    LeaderElectionConfig lcfg;
+    LeaderElectionConfig lcfg{seam};
     lcfg.seed = acfg.seed;
-    lcfg.threads = opt.threads;
-    lcfg.obs = obs.sink();
     const auto res = elect_leader(cluster, lcfg);
     std::printf("leader: machine %u\n", res.leader);
     print_stats("leader", res.stats);
@@ -825,8 +818,7 @@ int main(int argc, char** argv) {
       return ok ? 0 : 1;
     }
   } else if (opt.algo == "flood") {
-    const auto res =
-        run_flood(opt, cluster, dg, obs.sink(), fault_plane ? &*fault_plane : nullptr, m);
+    const auto res = run_flood(opt, cluster, dg, FloodingConfig{seam, acfg.fault}, m);
     if (!res.has_value()) return 1;
     const std::vector<Label>& labels = res->labels;
     if (opt.verify) {
@@ -843,22 +835,19 @@ int main(int argc, char** argv) {
       return ok ? 0 : 1;
     }
   } else if (opt.algo == "referee") {
-    RefereeConfig rcfg;
-    rcfg.threads = opt.threads;
-    rcfg.obs = obs.sink();
-    const auto res = referee_connectivity(cluster, dg, rcfg);
+    const auto res = referee_connectivity(cluster, dg, RefereeConfig{seam});
     std::printf("components=%llu\n", static_cast<unsigned long long>(res.num_components));
     print_stats("referee", res.stats);
   } else if (opt.algo == "mincut") {
-    MinCutConfig mcfg;
+    MinCutConfig mcfg{seam};
     mcfg.seed = acfg.seed;
-    mcfg.threads = opt.threads;
-    mcfg.obs = obs.sink();
+    mcfg.fault = acfg.fault;
     const auto res = approximate_min_cut(cluster, dg, mcfg);
     std::printf("estimate=%llu disconnect_level=%d connected=%s\n",
                 static_cast<unsigned long long>(res.estimate), res.disconnect_level,
                 res.graph_connected ? "yes" : "no");
     print_stats("mincut", res.stats);
+    print_fault_stats(acfg.fault);
     if (opt.verify && n <= 512) {
       std::printf("exact (Stoer-Wagner): %llu\n",
                   static_cast<unsigned long long>(ref::stoer_wagner_min_cut(g)));
@@ -868,6 +857,7 @@ int main(int argc, char** argv) {
     std::printf("two_edge_connected=%s certificate_edges=%zu\n",
                 res.two_edge_connected ? "yes" : "no", res.certificate_edges);
     print_stats("2ec", res.stats);
+    print_fault_stats(acfg.fault);
     if (opt.verify) {
       const bool ok = res.two_edge_connected == ref::is_two_edge_connected(g);
       std::printf("verify: %s\n", ok ? "ok" : "MISMATCH");

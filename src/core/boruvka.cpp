@@ -73,8 +73,7 @@ BoruvkaEngine::BoruvkaEngine(Cluster& cluster, const DistributedGraph& dg,
       // The Lemma 7 bound 12*ceil(log2 n) (+1) unless configured.
       max_phases_(config.max_phases > 0 ? static_cast<std::uint32_t>(config.max_phases)
                                         : static_cast<std::uint32_t>(12 * label_bits_) + 1),
-      runtime_(cluster, RuntimeConfig{config.threads, config.obs, config.fault, config.cancel,
-                                      config.pool}),
+      runtime_(cluster, config, config.fault),
       builder_(n_, shared_.seed(0, 0, seed_purpose::kSketch), config.sketch_copies) {
   KMM_CHECK_MSG(n_ >= 2, "the engine needs at least two vertices");
   const MachineId k = cluster_->k();

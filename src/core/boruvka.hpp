@@ -100,7 +100,10 @@ enum class MergeRule {
   kCoinFlip,
 };
 
-struct BoruvkaConfig {
+/// The engine's own options on top of the runtime seam (RuntimeConfig:
+/// threads, obs, cancel, pool). Results and the ledger are identical for
+/// every thread count.
+struct BoruvkaConfig : RuntimeConfig {
   std::uint64_t seed = 1;        // master seed for the shared random tape
   int sketch_copies = 3;         // l0-sampler repetitions
   int max_phases = 0;            // 0 => the Lemma 7 bound 12*ceil(log2 n)
@@ -111,31 +114,15 @@ struct BoruvkaConfig {
   /// instead of random proxies — the congested "trivial strategy" of
   /// Section 1.2. Correctness is unaffected; rounds degrade to O~(n/k).
   bool single_coordinator = false;
-  /// Worker threads for per-machine local computation (1 = sequential,
-  /// 0 = hardware concurrency; clamped to k). Results and the cluster
-  /// ledger are identical for every value — only wall-clock time changes.
-  unsigned threads = 1;
-  /// Optional observability sinks, forwarded to every Runtime this config
-  /// builds (engine + the BoruvkaConfig-driven passes: rep_mst, two_edge,
-  /// verification). Null records nothing; the ledger is identical either
-  /// way. See src/obs/obs_sink.hpp.
-  const ObsSink* obs = nullptr;
-  /// Optional fault-injection & recovery plane (src/fault/). The engine is
-  /// checkpointable: scheduled crashes roll the victim back to the last
-  /// checkpoint and replay its logged inboxes; a DurableStore on the plane
-  /// commits resume frames, and an armed frame resumes the run. Null is
-  /// bit-identical.
+  /// Optional fault-injection & recovery plane (src/fault/), handed to the
+  /// engine's Runtime only. The engine is checkpointable: scheduled crashes
+  /// roll the victim back to the last checkpoint and replay its logged
+  /// inboxes; a DurableStore on the plane commits resume frames, and an
+  /// armed frame resumes the run. Null is bit-identical. The passes built
+  /// on this config (rep_mst, two_edge, verification) hand it whole to
+  /// their own Runtimes, which drop the plane, and to inner connectivity
+  /// runs, which keep it.
   FaultPlane* fault = nullptr;
-  /// Optional cooperative cancellation point (src/serve/cancel.hpp),
-  /// forwarded to every Runtime this config builds exactly like `obs`:
-  /// deadlines/budgets/client cancellation unwind the run at the next
-  /// superstep boundary by throwing QueryCancelled (porting recipe rule 9).
-  /// Null never cancels.
-  CancelPoint* cancel = nullptr;
-  /// Optional shared worker pool (RuntimeConfig::pool): the serving layer
-  /// multiplexes many queries' Runtimes onto one pool. Null = each Runtime
-  /// owns a private pool when threads > 1, as before.
-  ThreadPool* pool = nullptr;
 };
 
 /// Per-phase instrumentation. After a durable resume, the phases an earlier

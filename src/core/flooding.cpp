@@ -154,11 +154,9 @@ FloodingResult flooding_connectivity(Cluster& cluster, const DistributedGraph& d
                                      const FloodingConfig& config) {
   const StatsScope scope(cluster);
   const std::size_t n = dg.num_vertices();
-  const std::uint64_t max_iterations =
-      config.max_supersteps != 0 ? config.max_supersteps : n + 1;
+  const std::uint64_t max_iterations = n + 1;
   FloodProgram program(dg, cluster.k());
-  Runtime rt(cluster, RuntimeConfig{config.threads, config.obs, config.fault, config.cancel,
-                                    config.pool});
+  Runtime rt(cluster, config, config.fault);
   // A durable frame is restored before the first step (rule 10).
   if (config.fault != nullptr) config.fault->apply_resume(cluster, program);
   // One step per phase until the broadcast reports a quiet iteration, or

@@ -33,36 +33,21 @@
 #include <vector>
 
 #include "core/common.hpp"
-#include "obs/obs_sink.hpp"
 #include "runtime/machine_program.hpp"
 
 namespace kmm {
 
-class FaultPlane;
-
-struct FloodingConfig {
-  /// Caps the boundary-exchange iterations (the unit of
-  /// FloodingResult::supersteps); 0 = n+1, always sufficient: the smallest
-  /// label needs at most one iteration per boundary hop. Reaching the cap
-  /// returns converged = false.
-  std::uint64_t max_supersteps = 0;
-  /// Worker threads for per-machine local computation (1 = sequential,
-  /// 0 = hardware concurrency; clamped to k). Results and the cluster
-  /// ledger are identical for every value.
-  unsigned threads = 1;
-  /// Optional observability sinks (see src/obs/obs_sink.hpp); null records
-  /// nothing and leaves the ledger untouched either way.
-  const ObsSink* obs = nullptr;
+/// The runtime seam (RuntimeConfig: threads, obs, cancel, pool) plus the
+/// plane. Results and the ledger are identical for every thread count. The
+/// run stops after n+1 boundary exchanges, always sufficient: the smallest
+/// label needs at most one exchange per boundary hop. Reaching that cap
+/// returns converged = false.
+struct FloodingConfig : RuntimeConfig {
   /// Optional fault-injection & recovery plane (src/fault/). Scheduled
   /// crashes roll back to the last checkpoint and replay; a DurableStore on
   /// the plane commits resume frames, and an armed frame resumes the run.
   /// Null leaves behaviour bit-identical.
   FaultPlane* fault = nullptr;
-  /// Optional cooperative cancellation point (src/serve/cancel.hpp),
-  /// checked once per superstep; null never cancels.
-  CancelPoint* cancel = nullptr;
-  /// Optional shared worker pool (RuntimeConfig::pool); null = private pool.
-  ThreadPool* pool = nullptr;
 };
 
 struct FloodingResult {

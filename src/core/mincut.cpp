@@ -21,13 +21,9 @@ MinCutResult approximate_min_cut(Cluster& cluster, const DistributedGraph& dg,
   const std::size_t n = dg.num_vertices();
   const std::size_t m = dg.graph().num_edges();
   const auto conn_config = [&](std::uint64_t seed) {
-    BoruvkaConfig conn;
+    BoruvkaConfig conn{config};
     conn.seed = seed;
-    conn.threads = config.threads;
-    conn.obs = config.obs;
     conn.fault = config.fault;
-    conn.cancel = config.cancel;
-    conn.pool = config.pool;
     return conn;
   };
 

@@ -18,27 +18,16 @@
 
 namespace kmm {
 
-struct MinCutConfig {
+/// The runtime seam (RuntimeConfig: threads, obs, cancel, pool), handed
+/// whole to every inner connectivity run: one timeline sees the whole level
+/// sweep as consecutive rows on one cluster ledger, and one budget covers
+/// it. Results and the ledger are thread-invariant.
+struct MinCutConfig : RuntimeConfig {
   std::uint64_t seed = 7;
-  /// Worker threads for every inner connectivity run (1 = sequential,
-  /// 0 = hardware concurrency, clamped to k). Results and the ledger are
-  /// thread-invariant.
-  unsigned threads = 1;
-  /// Optional observability sinks, forwarded into every inner connectivity
-  /// run. One timeline attached here sees the whole level sweep as
-  /// consecutive rows on one cluster ledger.
-  const ObsSink* obs = nullptr;
   /// Optional fault plane, forwarded into every inner connectivity run. Each
   /// run is a checkpointable Borůvka program, so scheduled crashes recover;
   /// one plane spans the whole level sweep. Null is bit-identical.
   FaultPlane* fault = nullptr;
-  /// Optional cooperative cancellation point, forwarded into every inner
-  /// connectivity run; one budget covers the whole level sweep. Null never
-  /// cancels.
-  CancelPoint* cancel = nullptr;
-  /// Optional shared worker pool, forwarded into every inner connectivity
-  /// run; null = private pools.
-  ThreadPool* pool = nullptr;
 };
 
 struct MinCutLevelTrace {

@@ -39,17 +39,12 @@ struct StrictMstOutput {
   RunStats stats;  // cost of the announcement pass alone
 };
 
-/// `threads` parallelizes the per-machine announce/collect handlers
-/// (same semantics as BoruvkaConfig::threads; ledger is thread-invariant).
-/// `obs` optionally records the pass into the caller's observability sinks
-/// (same contract as BoruvkaConfig::obs); `cancel`/`pool` ride along with
-/// the BoruvkaConfig seam semantics (rule 9 / shared-pool multiplexing).
+/// The pass runs on one Runtime built from `runtime` (the seam every core
+/// config derives from, so a BoruvkaConfig passes whole); the ledger is
+/// thread-invariant.
 [[nodiscard]] StrictMstOutput announce_mst_to_home_machines(Cluster& cluster,
                                                             const DistributedGraph& dg,
                                                             const BoruvkaResult& mst,
-                                                            unsigned threads = 1,
-                                                            const ObsSink* obs = nullptr,
-                                                            CancelPoint* cancel = nullptr,
-                                                            ThreadPool* pool = nullptr);
+                                                            const RuntimeConfig& runtime = {});
 
 }  // namespace kmm

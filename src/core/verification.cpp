@@ -17,11 +17,13 @@ constexpr std::uint32_t kTagEdgeCount = 43;
 /// Distributed equality test of two vertex labels: home(s) ships label(s)
 /// to home(t), which compares and broadcasts the verdict. O(1) rounds.
 /// Two one-message control-plane supersteps — always StepMode::kInline, so
-/// a single-thread runtime is built here (no pool to spin up and join); it
-/// still forwards the caller's obs sink and cancellation point.
+/// a single-thread runtime is built here (no pool to spin up and join) from
+/// a copy of the caller's seam, so obs and cancel still ride along.
 bool labels_equal(Cluster& cluster, const DistributedGraph& dg, const BoruvkaResult& res,
                   Vertex s, Vertex t, const BoruvkaConfig& config) {
-  Runtime rt(cluster, RuntimeConfig{1, config.obs, nullptr, config.cancel});
+  RuntimeConfig inline_seam = config;
+  inline_seam.threads = 1;
+  Runtime rt(cluster, inline_seam);
   const std::uint64_t label_bits =
       bits_for(std::max<std::uint64_t>(dg.num_vertices(), 2));
   const MachineId ms = dg.home(s);
@@ -161,8 +163,7 @@ VerifyResult verify_cycle_containment(Cluster& cluster, const DistributedGraph& 
   const StatsScope scope(cluster);
   std::uint64_t m = 0;
   {
-    Runtime rt(cluster, RuntimeConfig{config.threads, config.obs, nullptr, config.cancel,
-                                      config.pool});
+    Runtime rt(cluster, config);
     m = count_edges(rt, dg);
   }
   const auto res = connected_components(cluster, dg, config);

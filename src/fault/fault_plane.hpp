@@ -1,8 +1,9 @@
 #pragma once
 // Fault-injection & recovery plane for the superstep runtime.
 //
-// Rides the same seam as ObsSink: a nullable FaultPlane* in RuntimeConfig.
-// Detached (the default), the runtime's behaviour and ledger are
+// A nullable FaultPlane* that only a checkpointable program's entry point
+// hands to its Runtime (Runtime(cluster, config, plane)); only the configs
+// whose runs recover (Borůvka, flooding, min-cut) carry one. Detached (the default), the runtime's behaviour and ledger are
 // bit-identical to a build without the plane; attached, the plane executes
 // a deterministic FaultSchedule and the recovery machinery that keeps
 // algorithms *correct* through it:

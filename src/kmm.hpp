@@ -27,8 +27,9 @@
 //                reproducible FaultSchedule (machine crashes, lossy links,
 //                payload corruption) plus the FaultPlane recovery machinery
 //                (superstep checkpoint/replay, retransmit-from-outbox),
-//                attached through RuntimeConfig::fault / the core configs'
-//                fault field (off by default; detached is bit-identical)
+//                attached through the `fault` field of the configs whose
+//                runs recover (Borůvka, flooding, min-cut) and handed to
+//                their Runtimes (off by default; detached is bit-identical)
 //   durable    — the durable checkpoint & restart plane: checksummed
 //                on-disk frames (per-machine state + superstep ordinal +
 //                the full ClusterStats ledger + the inbox replay window,

@@ -33,11 +33,11 @@ unsigned resolve_threads(unsigned requested, MachineId k) {
   return std::min<unsigned>(t, k);
 }
 
-Runtime::Runtime(Cluster& cluster, RuntimeConfig config)
+Runtime::Runtime(Cluster& cluster, const RuntimeConfig& config, FaultPlane* fault)
     : cluster_(&cluster),
       threads_(resolve_threads(config.threads, cluster.k())),
       sink_(config.obs != nullptr ? *config.obs : ObsSink{}),
-      fault_(config.fault),
+      fault_(fault),
       cancel_(config.cancel) {
   // Baseline the timeline before the first step so row 0's delta starts at
   // this Runtime's construction (idempotent across sequential Runtimes

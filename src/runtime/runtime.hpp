@@ -65,15 +65,11 @@
 //      single-machine referee solves) pass StepMode::kInline — the barrier
 //      would cost more than the handler work, and the modes are
 //      observationally identical anyway.
-//   5. Give the public entry point a config that mirrors BoruvkaConfig's
-//      seam fields (threads, obs, fault, cancel, pool) and build every
-//      Runtime of the run from all of them:
-//      Runtime(cluster, RuntimeConfig{config.threads, config.obs,
-//      config.fault, config.cancel, config.pool}). A control-plane helper
-//      may lower `threads`, and one that is not checkpointable (rule 8)
-//      leaves `fault` null, but none may drop obs or cancel: a Runtime
-//      without them runs supersteps the timeline never sees and a serving
-//      budget never checks.
+//   5. Derive the public entry point's config from RuntimeConfig and pass
+//      it whole: Runtime rt(cluster, config). A control-plane helper may
+//      copy it and lower `threads`, but never builds a Runtime from loose
+//      fields: one without obs or cancel runs supersteps the timeline never
+//      sees and a serving budget never checks.
 //   6. Handlers must not assume inboxes are populated between shards:
 //      delivery runs as k concurrent per-destination tasks after the
 //      handler barrier, so during a step the only readable inbox state is
@@ -93,8 +89,9 @@
 //      pointer to the obs sinks' output mid-run (rows and rings
 //      reallocate/wrap). Analytic Cluster::charge_rounds() between steps is
 //      fine — the timeline folds the charge into the next recorded row.
-//   8. To survive the fault plane (RuntimeConfig::fault, src/fault/), a
-//      program must be a persistent MachineProgram that overrides
+//   8. To survive the fault plane (src/fault/), which only its entry point
+//      hands to the Runtime (Runtime(cluster, config, plane)), a program
+//      must be a persistent MachineProgram that overrides
 //      checkpointable() -> true plus snapshot(m, WordWriter&)/restore(m,
 //      WordReader&) such that restore rebuilds machine m's state *exactly*
 //      from the words snapshot wrote (and consumes all of them). The plane
@@ -109,7 +106,8 @@
 //      that cursor: a replay re-runs a victim's older steps while the
 //      driver has moved on, so a handler may not read per-step values the
 //      driver sets up. A crash injected into any other program aborts with
-//      a pointer to this rule.
+//      a pointer to this rule; every other entry point builds
+//      Runtime rt(cluster, config), so its steps never see the plane.
 //   9. Cancellation points and state-release obligations. When a
 //      CancelPoint rides RuntimeConfig::cancel (the serving layer's seam,
 //      src/serve/cancel.hpp), Runtime::step calls check() on the driver
@@ -181,6 +179,9 @@ namespace kmm {
 class FaultPlane;
 class CancelPoint;
 
+/// The runtime seam. Every core config derives from it, so an entry point
+/// builds each of its Runtimes from the whole config (rule 5) and no seam
+/// field is ever forwarded by hand.
 struct RuntimeConfig {
   /// Worker threads for handlers and delivery tasks. 1 = no pool (both run
   /// in machine order on the calling thread), 0 =
@@ -191,13 +192,6 @@ struct RuntimeConfig {
   /// sinks are borrowed — the caller keeps them alive for the Runtime's
   /// lifetime. See src/obs/obs_sink.hpp for the contract.
   const ObsSink* obs = nullptr;
-  /// Optional fault-injection & recovery plane (src/fault/fault_plane.hpp);
-  /// null (the default) is bit-identical to a build without the plane.
-  /// Borrowed like the obs sinks. When attached, the plane intercepts every
-  /// step's shard buckets between the handler barrier and delivery to
-  /// emulate transit faults, so a detached-vs-attached ledger only differs
-  /// by the schedule's injected faults.
-  FaultPlane* fault = nullptr;
   /// Optional cooperative cancellation point (src/serve/cancel.hpp),
   /// borrowed like the obs sinks. When attached, every step() begins with
   /// CancelPoint::check() on the driver thread — deadline, superstep and
@@ -252,7 +246,15 @@ enum class StepMode {
 
 class Runtime {
  public:
-  explicit Runtime(Cluster& cluster, RuntimeConfig config = {});
+  /// `fault` is the optional fault-injection & recovery plane
+  /// (src/fault/fault_plane.hpp), borrowed like the obs sinks; null is
+  /// bit-identical to a build without the plane. When attached, the plane
+  /// intercepts every step's shard buckets between the handler barrier and
+  /// delivery to emulate transit faults, so a detached-vs-attached ledger
+  /// only differs by the schedule's injected faults. Only the entry points
+  /// of checkpointable programs pass one (rule 8).
+  explicit Runtime(Cluster& cluster, const RuntimeConfig& config = {},
+                   FaultPlane* fault = nullptr);
   ~Runtime();
 
   Runtime(const Runtime&) = delete;

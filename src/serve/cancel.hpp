@@ -1,8 +1,8 @@
 #pragma once
 // Cooperative cancellation and per-query budgets for the serving layer.
 //
-// The seam mirrors obs/fault: a nullable CancelPoint* rides RuntimeConfig
-// (and every core config that forwards into a Runtime), and Runtime::step
+// The seam mirrors obs: a nullable CancelPoint* rides RuntimeConfig (every
+// core config derives from it and passes it whole), and Runtime::step
 // calls CancelPoint::check() on the driver thread at the top of every
 // superstep — before fault processing, before any handler runs. A tripped
 // check throws QueryCancelled; stack unwinding through the engine releases

@@ -342,13 +342,12 @@ QueryResult ClusterService::dispatch(const QueryRequest& request, Cluster& clust
                                      const ObsSink* obs) {
   QueryResult out;
   out.kind = request.kind;
-  BoruvkaConfig base;
+  // One seam for every kind; the plane rides only the configs that recover.
+  const RuntimeConfig seam{
+      .threads = config_.query_threads, .obs = obs, .cancel = &cancel, .pool = pool_.get()};
+  BoruvkaConfig base{seam};
   base.seed = request.seed;
-  base.threads = config_.query_threads;
-  base.obs = obs;
   base.fault = plane;
-  base.cancel = &cancel;
-  base.pool = pool_.get();
   switch (request.kind) {
     case QueryKind::kConnectivity: {
       const BoruvkaResult res = connected_components(cluster, *dg_, base);
@@ -364,13 +363,9 @@ QueryResult ClusterService::dispatch(const QueryRequest& request, Cluster& clust
       break;
     }
     case QueryKind::kMinCut: {
-      MinCutConfig mc;
+      MinCutConfig mc{seam};
       mc.seed = request.seed;
-      mc.threads = config_.query_threads;
-      mc.obs = obs;
       mc.fault = plane;
-      mc.cancel = &cancel;
-      mc.pool = pool_.get();
       const MinCutResult res = approximate_min_cut(cluster, *dg_, mc);
       out.value = res.estimate;
       out.verdict = res.graph_connected;
@@ -383,35 +378,21 @@ QueryResult ClusterService::dispatch(const QueryRequest& request, Cluster& clust
       break;
     }
     case QueryKind::kFlooding: {
-      FloodingConfig fc;
-      fc.threads = config_.query_threads;
-      fc.obs = obs;
-      fc.fault = plane;
-      fc.cancel = &cancel;
-      fc.pool = pool_.get();
-      const FloodingResult res = flooding_connectivity(cluster, *dg_, fc);
+      const FloodingResult res =
+          flooding_connectivity(cluster, *dg_, FloodingConfig{seam, plane});
       out.value = res.num_components;
       out.verdict = res.num_components <= 1;
       break;
     }
     case QueryKind::kRefereeConnectivity: {
-      RefereeConfig rc;
-      rc.threads = config_.query_threads;
-      rc.obs = obs;
-      rc.cancel = &cancel;
-      rc.pool = pool_.get();
-      const RefereeResult res = referee_connectivity(cluster, *dg_, rc);
+      const RefereeResult res = referee_connectivity(cluster, *dg_, RefereeConfig{seam});
       out.value = res.num_components;
       out.verdict = res.num_components <= 1;
       break;
     }
     case QueryKind::kLeaderElection: {
-      LeaderElectionConfig lc;
+      LeaderElectionConfig lc{seam};
       lc.seed = request.seed;
-      lc.threads = config_.query_threads;
-      lc.obs = obs;
-      lc.cancel = &cancel;
-      lc.pool = pool_.get();
       const LeaderResult res = elect_leader(cluster, lc);
       out.value = res.leader;
       out.verdict = true;

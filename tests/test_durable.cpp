@@ -208,7 +208,7 @@ TEST(DurablePlane, KilledRunResumesBitIdentically) {
         plane.set_durable_store(&store);
         Cluster cluster(ClusterConfig{k, 64});
         DurableRing program(k, target);
-        Runtime rt(cluster, RuntimeConfig{threads, nullptr, &plane});
+        Runtime rt(cluster, RuntimeConfig{threads}, &plane);
         for (std::uint64_t s = 0; s < kill_after; ++s) (void)rt.step(program);
         ASSERT_FALSE(program.done());
         EXPECT_GT(plane.stats().durable_commits, 0u);
@@ -232,7 +232,7 @@ TEST(DurablePlane, KilledRunResumesBitIdentically) {
       plane.arm_resume(&rec.value().frame);
       Cluster cluster(ClusterConfig{k, 64});
       DurableRing program(k, target);
-      Runtime rt(cluster, RuntimeConfig{threads, nullptr, &plane});
+      Runtime rt(cluster, RuntimeConfig{threads}, &plane);
       (void)rt.run(program);
 
       EXPECT_TRUE(program.done()) << "threads=" << threads << " cadence=" << cadence;
@@ -263,9 +263,11 @@ TEST(DurablePlane, FloodConnectivityResumesBitIdentically) {
     ASSERT_EQ(clean.labels[v], ref_labels[v]) << "v=" << v;
   }
   const auto clean_ledger = ledger_words(clean_cluster.stats());
-  // The kill point, in boundary-exchange iterations: the first lifetime
+  // The kill point: the first lifetime is cancelled right before its third
+  // boundary exchange (one init step, then four steps per iteration), so it
   // must end unconverged.
   constexpr std::uint64_t kKillAfter = 2;
+  constexpr std::uint64_t kKillAt = 1 + 4 * kKillAfter;
   ASSERT_GT(clean.supersteps, kKillAfter);
 
   {
@@ -301,12 +303,13 @@ TEST(DurablePlane, FloodConnectivityResumesBitIdentically) {
       FaultPlane plane(quiet, pcfg);
       plane.set_durable_store(&store);
       Cluster cluster(ClusterConfig::for_graph(n, k));
+      CancelPoint cancel;  // killed mid-computation
+      cancel.cancel_at_superstep(kKillAt);
       FloodingConfig cfg;
-      cfg.max_supersteps = kKillAfter;  // killed mid-computation
       cfg.threads = threads;
       cfg.fault = &plane;
-      const FloodingResult dead = flooding_connectivity(cluster, dg, cfg);
-      ASSERT_FALSE(dead.converged);
+      cfg.cancel = &cancel;
+      EXPECT_THROW((void)flooding_connectivity(cluster, dg, cfg), QueryCancelled);
       EXPECT_GT(plane.stats().durable_commits, 0u);
     }
 
@@ -453,7 +456,7 @@ std::vector<std::string> commit_two_generations(const std::string& dir) {
   plane.set_durable_store(&store);
   Cluster cluster(ClusterConfig{4, 64});
   DurableRing program(4, 12);
-  Runtime rt(cluster, RuntimeConfig{1, nullptr, &plane});
+  Runtime rt(cluster, RuntimeConfig{1}, &plane);
   for (int s = 0; s < 7; ++s) (void)rt.step(program);  // commits at ordinals 0 and 4
   const auto gens = DurableStore::list_generations(dir);
   EXPECT_TRUE(gens.ok());

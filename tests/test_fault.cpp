@@ -345,9 +345,6 @@ TEST(FaultPlane, CorruptionIsCaughtByTheRawLabelReferee) {
   const DistributedGraph dg(g, VertexPartition::random(n, k, 7));
   FloodingConfig cfg;
   cfg.fault = &plane;
-  // Corrupted labels can creep toward fixpoint in smaller decrements than
-  // honest flooding; give the loop room beyond the n+1 default.
-  cfg.max_supersteps = 1u << 20;
   const FloodingResult res = flooding_connectivity(cluster, dg, cfg);
 
   EXPECT_GT(plane.stats().corruptions, 0u);
@@ -422,7 +419,7 @@ TEST(FaultPlane, CheckpointReplayRebuildsCrashedMachines) {
 
     Cluster cluster(ClusterConfig{k, 64});
     RingCounter program(k, target);
-    Runtime rt(cluster, RuntimeConfig{1, nullptr, &plane});
+    Runtime rt(cluster, RuntimeConfig{1}, &plane);
     (void)rt.run(program);
 
     EXPECT_TRUE(program.done()) << "cadence=" << cadence;
@@ -520,7 +517,7 @@ TEST(FaultPlaneDeathTest, UnrecoverableProgramAbortsWithRule8) {
   sched.add_crash(0, 2);
   FaultPlane plane(sched);
   Cluster cluster(ClusterConfig{k, 64});
-  Runtime rt(cluster, RuntimeConfig{1, nullptr, &plane});
+  Runtime rt(cluster, RuntimeConfig{1}, &plane);
   // An ad-hoc lambda step is not checkpointable — nothing the plane can
   // recover with.
   EXPECT_DEATH((void)rt.step([](MachineId self, std::span<const Message>, Outbox& out) {

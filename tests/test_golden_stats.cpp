@@ -86,7 +86,8 @@ std::vector<GoldenCase> golden_cases() {
     add(std::string("connectivity/") + gname, [g](unsigned threads) {
       Cluster c = fresh_cluster(g.num_vertices());
       const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), kMachines, 99));
-      BoruvkaConfig cfg{.seed = 1234};
+      BoruvkaConfig cfg;
+      cfg.seed = 1234;
       cfg.threads = threads;
       (void)connected_components(c, dg, cfg);
       return c.stats();
@@ -98,7 +99,8 @@ std::vector<GoldenCase> golden_cases() {
       for (MachineId i = kMachines / 2; i < kMachines; ++i) side[i] = 1;
       c.track_cut(side);
       const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), kMachines, 5));
-      BoruvkaConfig cfg{.seed = 77};
+      BoruvkaConfig cfg;
+      cfg.seed = 77;
       cfg.threads = threads;
       (void)connected_components(c, dg, cfg);
       return c.stats();
@@ -109,7 +111,8 @@ std::vector<GoldenCase> golden_cases() {
       const Graph wg = with_unique_weights(with_random_weights(g, wrng, 100000));
       Cluster c = fresh_cluster(wg.num_vertices());
       const DistributedGraph dg(wg, VertexPartition::random(wg.num_vertices(), kMachines, 99));
-      BoruvkaConfig cfg{.seed = 4321};
+      BoruvkaConfig cfg;
+      cfg.seed = 4321;
       cfg.threads = threads;
       (void)minimum_spanning_forest(c, dg, cfg);
       return c.stats();
@@ -118,21 +121,22 @@ std::vector<GoldenCase> golden_cases() {
     add(std::string("flooding/") + gname, [g](unsigned threads) {
       Cluster c = fresh_cluster(g.num_vertices());
       const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), kMachines, 99));
-      (void)flooding_connectivity(c, dg, FloodingConfig{.threads = threads});
+      (void)flooding_connectivity(c, dg, FloodingConfig{{.threads = threads}});
       return c.stats();
     });
 
     add(std::string("referee/") + gname, [g](unsigned threads) {
       Cluster c = fresh_cluster(g.num_vertices());
       const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), kMachines, 99));
-      (void)referee_connectivity(c, dg, RefereeConfig{.threads = threads});
+      (void)referee_connectivity(c, dg, RefereeConfig{{.threads = threads}});
       return c.stats();
     });
 
     add(std::string("two_edge/") + gname, [g](unsigned threads) {
       Cluster c = fresh_cluster(g.num_vertices());
       const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), kMachines, 99));
-      BoruvkaConfig cfg{.seed = 77};
+      BoruvkaConfig cfg;
+      cfg.seed = 77;
       cfg.threads = threads;
       (void)two_edge_connectivity(c, dg, cfg);
       return c.stats();
@@ -141,7 +145,8 @@ std::vector<GoldenCase> golden_cases() {
     add(std::string("verify_st+cycle/") + gname, [g](unsigned threads) {
       Cluster c = fresh_cluster(g.num_vertices());
       const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), kMachines, 99));
-      BoruvkaConfig cfg{.seed = 31};
+      BoruvkaConfig cfg;
+      cfg.seed = 31;
       cfg.threads = threads;
       const Vertex s = 1;
       const Vertex t = static_cast<Vertex>(g.num_vertices() - 2);
@@ -156,7 +161,8 @@ std::vector<GoldenCase> golden_cases() {
       const Graph wg = with_unique_weights(with_random_weights(g, wrng, 100000));
       const auto ep = EdgePartition::random(wg.num_edges(), kMachines, split(21, gi));
       Cluster c = fresh_cluster(wg.num_vertices());
-      BoruvkaConfig cfg{.seed = 1717};
+      BoruvkaConfig cfg;
+      cfg.seed = 1717;
       cfg.threads = threads;
       (void)rep_model_mst(c, wg, ep, split(23, gi), cfg);
       return c.stats();
@@ -167,7 +173,8 @@ std::vector<GoldenCase> golden_cases() {
           const std::size_t gi = gname == "path" ? 0 : gname == "gnm" ? 1 : 2;
           const auto ep = EdgePartition::random(g.num_edges(), kMachines, split(25, gi));
           Cluster c = fresh_cluster(g.num_vertices());
-          BoruvkaConfig cfg{.seed = 2929};
+          BoruvkaConfig cfg;
+          cfg.seed = 2929;
           cfg.threads = threads;
           (void)rep_model_connectivity(c, g, ep, split(27, gi), cfg);
           return c.stats();
@@ -189,7 +196,10 @@ std::vector<GoldenCase> golden_cases() {
 
   add("leader_election", [](unsigned threads) {
     Cluster c = fresh_cluster(4);
-    (void)elect_leader(c, LeaderElectionConfig{.seed = 42, .threads = threads});
+    LeaderElectionConfig cfg;
+    cfg.seed = 42;
+    cfg.threads = threads;
+    (void)elect_leader(c, cfg);
     return c.stats();
   });
 

@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "kmm.hpp"
@@ -31,6 +33,56 @@ MetricsTimelineConfig full_res() {
   MetricsTimelineConfig cfg;
   cfg.full_traffic_steps = 1u << 20;
   return cfg;
+}
+
+/// The entry points beyond Borůvka, the strict-MST announce pass and the
+/// four label-comparing verifiers. Each builds its config from the seam it
+/// is handed, as a caller that sets only the seam would; `dg` must outlive
+/// the returned closures.
+using EntryPoint = std::pair<const char*, std::function<void(Cluster&, const RuntimeConfig&)>>;
+
+std::vector<EntryPoint> seam_entry_points(const Graph& g, const DistributedGraph& dg) {
+  std::vector<std::pair<Vertex, Vertex>> all_edges;
+  for (const auto& e : g.edges()) all_edges.emplace_back(e.u, e.v);
+  const std::vector<std::pair<Vertex, Vertex>> first_edge{all_edges.front()};
+  return {
+      {"flooding",
+       [&dg](Cluster& c, const RuntimeConfig& seam) {
+         (void)flooding_connectivity(c, dg, FloodingConfig{seam});
+       }},
+      {"referee",
+       [&dg](Cluster& c, const RuntimeConfig& seam) {
+         (void)referee_connectivity(c, dg, RefereeConfig{seam});
+       }},
+      {"leader_election",
+       [](Cluster& c, const RuntimeConfig& seam) {
+         (void)elect_leader(c, LeaderElectionConfig{seam});
+       }},
+      {"min_cut",
+       [&dg](Cluster& c, const RuntimeConfig& seam) {
+         (void)approximate_min_cut(c, dg, MinCutConfig{seam});
+       }},
+      {"two_edge",
+       [&dg](Cluster& c, const RuntimeConfig& seam) {
+         (void)two_edge_connectivity(c, dg, BoruvkaConfig{seam});
+       }},
+      {"verify_spanning_connected_subgraph",
+       [&dg, all_edges](Cluster& c, const RuntimeConfig& seam) {
+         (void)verify_spanning_connected_subgraph(c, dg, all_edges, BoruvkaConfig{seam});
+       }},
+      {"verify_cut",
+       [&dg, first_edge](Cluster& c, const RuntimeConfig& seam) {
+         (void)verify_cut(c, dg, first_edge, BoruvkaConfig{seam});
+       }},
+      {"verify_cycle_containment",
+       [&dg](Cluster& c, const RuntimeConfig& seam) {
+         (void)verify_cycle_containment(c, dg, BoruvkaConfig{seam});
+       }},
+      {"verify_bipartiteness",
+       [&dg](Cluster& c, const RuntimeConfig& seam) {
+         (void)verify_bipartiteness(c, dg, BoruvkaConfig{seam});
+       }},
+  };
 }
 
 struct LedgerRow {
@@ -118,7 +170,7 @@ TEST(ObsPlane, SequentialRuntimesConcatenateOnOneTimeline) {
   cfg.obs = &sink;
   const auto mst = minimum_spanning_forest(cluster, dg, cfg);
   const std::size_t rows_after_mst = timeline.size();
-  const auto strict = announce_mst_to_home_machines(cluster, dg, mst, 2, &sink);
+  const auto strict = announce_mst_to_home_machines(cluster, dg, mst, cfg);
   EXPECT_FALSE(strict.edges_by_home.empty());
   const std::size_t rows_after_announce = timeline.size();
   EXPECT_GT(rows_after_announce, rows_after_mst);
@@ -131,17 +183,70 @@ TEST(ObsPlane, SequentialRuntimesConcatenateOnOneTimeline) {
   (void)verify_edge_on_all_paths(cluster, dg, e0.u, e0.v, e0.u, e0.v, cfg);
   (void)verify_st_cut(cluster, dg, e1.u, e1.v, {{e0.u, e0.v}, {e1.u, e1.v}}, cfg);
   (void)verify_e_cycle_containment(cluster, dg, e1.u, e1.v, cfg);
-
-  // The announce pass and the verifiers appended their charged supersteps
-  // to the same timeline and the sum still reproduces the cluster-lifetime
-  // ledger.
-  const ClusterStats& s = cluster.stats();
   EXPECT_GT(timeline.size(), rows_after_announce);
+
+  // Every other entry point, handed the same seam, lands on it too.
+  for (const auto& [name, run] : seam_entry_points(g, dg)) {
+    const std::size_t rows_before = timeline.size();
+    run(cluster, cfg);
+    EXPECT_GT(timeline.size(), rows_before) << name;
+  }
+
+  // Every pass appended its charged supersteps to the same timeline and the
+  // sum still reproduces the cluster-lifetime ledger.
+  const ClusterStats& s = cluster.stats();
   EXPECT_EQ(timeline.size(), s.supersteps);
   const auto total = timeline.totals();
   EXPECT_EQ(total.rounds, s.rounds);
   EXPECT_EQ(total.bits, s.total_bits);
   EXPECT_EQ(total.messages, s.messages);
+}
+
+TEST(RuntimeSeam, EveryEntryPointStopsAtTheCancelCap) {
+  // The seam's cancellation point sees every step of every entry point,
+  // and capped at the first or the last, the run unwinds right there.
+  Rng wrng(7);
+  const Graph g = with_unique_weights(with_random_weights(test_graph(128), wrng, 10000));
+  const std::size_t n = g.num_vertices();
+  const MachineId k = 8;
+  const DistributedGraph dg(g, VertexPartition::random(n, k, 5));
+  for (const auto& [name, run] : seam_entry_points(g, dg)) {
+    // An uncapped run counts its steps twice: at the cancellation point and
+    // as the trace's step spans. The counts agree only if every Runtime of
+    // the run carries both the obs sink and the cancellation point.
+    TraceRecorderConfig tcfg;
+    tcfg.lanes = 4;
+    tcfg.events_per_lane = 1 << 16;
+    TraceRecorder trace(tcfg);
+    const ObsSink sink{nullptr, &trace};
+    CancelPoint counter;
+    RuntimeConfig seam;
+    seam.threads = 2;
+    seam.obs = &sink;
+    seam.cancel = &counter;
+    {
+      Cluster cluster(ClusterConfig::for_graph(n, k));
+      run(cluster, seam);
+    }
+    ASSERT_EQ(trace.dropped(), 0u) << name;
+    const std::uint64_t steps = counter.supersteps();
+    EXPECT_EQ(steps, trace.spans(SpanKind::kSuperstep) + trace.spans(SpanKind::kInline))
+        << name;
+    ASSERT_GE(steps, 2u) << name;
+    for (const std::uint64_t cap : {std::uint64_t{1}, steps - 1}) {
+      CancelPoint cancel;
+      cancel.cancel_at_superstep(cap);
+      seam.cancel = &cancel;
+      Cluster cluster(ClusterConfig::for_graph(n, k));
+      try {
+        run(cluster, seam);
+        ADD_FAILURE() << name << " ran past the cap at superstep " << cap;
+      } catch (const QueryCancelled& stop) {
+        EXPECT_EQ(stop.code, QueryErrorCode::kCancelled) << name;
+        EXPECT_EQ(stop.superstep, cap) << name;
+      }
+    }
+  }
 }
 
 TEST(ObsPlane, TimelineDecomposesLedgerWithFaultScheduleActive) {
